@@ -1,11 +1,11 @@
 """Shared table of the half-period phases exp(-i pi t / N).
 
 Every lattice formula in the package (sampling transforms, Wigner kernels,
-the generalized Pauli matrices, the Moyal kernels) uses phases of this form
-with an integer exponent t.  Indexing one cached table keeps the N-shift
-sign identities bit-exact: the second half of the table is stored as the
-literal negation of the first half, so w[(t + N) % 2N] == -w[t] holds with
-no rounding at all.
+the generalized Pauli matrices) uses phases of this form with an integer
+exponent t.  Indexing one cached table keeps the N-shift sign identities
+bit-exact: the second half of the table is stored as the literal negation
+of the first half, so w[(t + N) % 2N] == -w[t] holds with no rounding at
+all.
 """
 from __future__ import annotations
 

@@ -39,33 +39,26 @@ def _deliver(text: str, path) -> None:
             handle.write(text)
 
 
-def _reduced(value: float) -> float:
-    folded = value % 1.0
-    return 0.0 if folded >= 1.0 else folded
-
-
 def _pair_list(vector) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(vector, dtype=complex)]
 
 
-def _rep_from_flags(args) -> Representation:
-    if args.N is None:
-        raise FormatError("trig polynomial input needs --N to fix the dimension")
+def _rep_from_flags(args, dim: int) -> Representation:
+    """Representation of the --theta1/--theta2 flags (0 when absent) and dim."""
     theta1 = 0.0 if args.theta1 is None else args.theta1
     theta2 = 0.0 if args.theta2 is None else args.theta2
-    return Representation(theta1, theta2, args.N)
+    return Representation(theta1, theta2, dim)
 
 
 def _check_flag_consistency(args, rep: Representation) -> None:
     flag_dim = getattr(args, "N", None)
     if flag_dim is not None and flag_dim != rep.dim:
         raise DimensionError(f"--N {flag_dim} conflicts with N={rep.dim} from the file")
-    for flag, value, stored in (
-        ("--theta1", args.theta1, rep.theta1),
-        ("--theta2", args.theta2, rep.theta2),
-    ):
-        if value is not None and abs(_reduced(value) - stored) > 1e-12:
-            raise DimensionError(f"{flag} {value} conflicts with the file value {stored}")
+    folded = _rep_from_flags(args, rep.dim)
+    for name in ("theta1", "theta2"):
+        value, stored = getattr(args, name), getattr(rep, name)
+        if value is not None and abs(getattr(folded, name) - stored) > 1e-12:
+            raise DimensionError(f"--{name} {value} conflicts with the file value {stored}")
 
 
 def _sibling(path: str) -> str:
@@ -79,7 +72,9 @@ def _cmd_quantize(args) -> int:
     doc = serialize.loads(_read(args.symbol))
     if isinstance(doc, list):
         tp = serialize.trig_from_json(doc)
-        rep = _rep_from_flags(args)
+        if args.N is None:
+            raise FormatError("trig polynomial input needs --N to fix the dimension")
+        rep = _rep_from_flags(args, args.N)
         if args.route == "sampled":
             operator = quantize_sampled(sample(tp, rep))
         elif args.route == "both":
@@ -110,9 +105,7 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_dequantize(args) -> int:
     operator = serialize.operator_from_json(serialize.loads(_read(args.operator)))
-    theta1 = 0.0 if args.theta1 is None else args.theta1
-    theta2 = 0.0 if args.theta2 is None else args.theta2
-    rep = Representation(theta1, theta2, operator.shape[0])
+    rep = _rep_from_flags(args, operator.shape[0])
     sym = dequantize(rep, operator)
     if args.csv:
         _deliver(serialize.lattice_csv(sym.grid, rep), args.output)
@@ -129,9 +122,7 @@ def _cmd_wigner(args) -> int:
         phi = serialize.state_from_json(serialize.loads(_read(args.state2)))
     if phi.size != psi.size:
         raise DimensionError(f"state lengths differ: {psi.size} vs {phi.size}")
-    theta1 = 0.0 if args.theta1 is None else args.theta1
-    theta2 = 0.0 if args.theta2 is None else args.theta2
-    rep = Representation(theta1, theta2, psi.size)
+    rep = _rep_from_flags(args, psi.size)
     table = wigner_state(rep, psi, phi)
     if args.csv:
         _deliver(serialize.lattice_csv(table.grid, rep), args.output)

@@ -11,19 +11,25 @@ product and the bracket into the commutator, exactly, for arbitrary grids.
 The kernels do not involve theta, so equal grids give equal results in any
 representation of the same dimension.
 
-The four-fold sums are evaluated with the phase factored into two rank-one
-kernels, which turns the O(N^6) direct sum into a chain of O(N^5)
-contractions; the test suite pins this factored form against the literal
-sum.
+Substituting x = j+r, y = k+s, p = j+u, q = k+v and summing over y and q
+first leaves row DFTs of the two grids:
+
+    (a # b)(j, k) = ifft_tau(G(-j, tau))(k),
+    G(d, tau) = sum_x fft_y(a)(x, x+tau+d) ifft_y(b)(x+tau, x+d),
+
+where fft_y and ifft_y are numpy's DFTs along each row (the p axis).  A
+product costs three row transforms and one O(N^3) contraction over x, with
+O(N^2) memory.  The bracket {a, b} = a # b - b # a is taken on G before
+the final transform, which makes {a, a} exactly zero.  The test suite pins
+both against the literal sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from ._phases import phases
 from .errors import DimensionError, DomainError
 from .quantize import quantize_sampled
 from .rep import Representation
@@ -40,57 +46,26 @@ __all__ = [
 ]
 
 
-def _shifted_stack(grid: np.ndarray) -> np.ndarray:
-    """S[j, k, r, s] = grid[(j + r) mod 2N, (k + s) mod 2N]."""
-    side = grid.shape[0]
-    idx = (np.arange(side)[:, None] + np.arange(side)[None, :]) % side
-    return grid[idx[:, None, :, None], idx[None, :, None, :]]
-
-
-@lru_cache(maxsize=64)
-def _product_kernels(n: int):
+def _correlation(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """G[d, tau] = sum_x fft_y(a)[x, x + tau + d] ifft_y(b)[x + tau, x + d], indices mod 2N."""
     side = 2 * n
-    u = np.arange(side)
-    plus = phases(-np.outer(u, u), n)   # exp(+i pi x y / N)
-    minus = phases(np.outer(u, u), n)   # exp(-i pi x y / N)
-    return plus, minus
+    # Tiling the row transforms lets two strided views read the wrapped
+    # indices, so no (2N)^3 index or data array is ever built.
+    rows_a = np.tile(np.fft.fft(a, axis=1), (1, 3))
+    rows_b = np.tile(np.fft.ifft(b, axis=1), (2, 2))
+    (a0, a1), (b0, b1) = rows_a.strides, rows_b.strides
+    view_a = as_strided(rows_a, (side,) * 3, (a0 + a1, a1, a1), writeable=False)  # [x, tau, d]
+    view_b = as_strided(rows_b, (side,) * 3, (b0 + b1, b0, b1), writeable=False)  # [x, tau, d]
+    return np.einsum("xtd,xtd->dt", view_a, view_b)
 
 
-@lru_cache(maxsize=64)
-def _bracket_kernels(n: int):
-    # Sine and cosine tables with the exact N-shift antisymmetry, matching
-    # the phase table construction.
-    side = 2 * n
-    t = np.arange(n)
-    sin_half = np.sin(np.pi * t / n)
-    cos_half = np.cos(np.pi * t / n)
-    sin_table = np.concatenate([sin_half, -sin_half])
-    cos_table = np.concatenate([cos_half, -cos_half])
-    prod = np.mod(np.outer(np.arange(side), np.arange(side)), side)
-    return sin_table[prod], cos_table[prod]
+def _from_correlation(correlation: np.ndarray) -> np.ndarray:
+    """(a # b)(j, k) = ifft_tau(G[-j, tau])(k) for G the correlation of a and b."""
+    return np.fft.ifft(correlation[-np.arange(len(correlation))], axis=1)
 
 
-def _product_grids(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    side = 2 * n
-    plus, minus = _product_kernels(n)
-    a4 = _shifted_stack(a)
-    b4 = _shifted_stack(b)
-    t1 = np.einsum("us,jkuv->jksv", minus, b4, optimize=True)
-    m1 = np.einsum("rv,jksv->jkrs", plus, t1, optimize=True)
-    return np.einsum("jkrs,jkrs->jk", a4, m1, optimize=True) / side**2
-
-
-def _bracket_grids(a4: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    # a4 is the precomputed shifted stack of the first argument; the sine
-    # kernel sin(pi (r v - u s)/N) is expanded over the exact tables.
-    side = 2 * n
-    sin_k, cos_k = _bracket_kernels(n)
-    b4 = _shifted_stack(b)
-    t1 = np.einsum("us,jkuv->jksv", cos_k, b4, optimize=True)
-    m1 = np.einsum("rv,jksv->jkrs", sin_k, t1, optimize=True)
-    t2 = np.einsum("us,jkuv->jksv", sin_k, b4, optimize=True)
-    m2 = np.einsum("rv,jksv->jkrs", cos_k, t2, optimize=True)
-    return 2j * np.einsum("jkrs,jkrs->jk", a4, m1 - m2, optimize=True) / side**2
+def _bracket_grids(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    return _from_correlation(_correlation(a, b, n) - _correlation(b, a, n))
 
 
 def _require_same_rep(a: SampledSymbol, b: SampledSymbol):
@@ -101,15 +76,15 @@ def _require_same_rep(a: SampledSymbol, b: SampledSymbol):
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Noncommutative product a # b; quantizes to the operator product."""
     _require_same_rep(a, b)
-    return SampledSymbol(_product_grids(a.grid, b.grid, a.rep.dim), a.rep)
+    return SampledSymbol(_from_correlation(_correlation(a.grid, b.grid, a.rep.dim)), a.rep)
 
 
 def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
-    """Moyal bracket {a, b}, the four-fold sum with the sine kernel
-    (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); equals a # b - b # a and
-    quantizes to the commutator."""
+    """Moyal bracket {a, b} = a # b - b # a, the four-fold sum with the sine
+    kernel (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); quantizes to the
+    commutator."""
     _require_same_rep(a, b)
-    return SampledSymbol(_bracket_grids(_shifted_stack(a.grid), b.grid, a.rep.dim), a.rep)
+    return SampledSymbol(_bracket_grids(a.grid, b.grid, a.rep.dim), a.rep)
 
 
 def poisson_bracket(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
@@ -189,15 +164,14 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     """
     if system.rep != start.rep:
         raise DimensionError("starting symbol lives in a different representation")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+        raise DomainError(f"steps must be a positive integer, got {steps!r}")
     n = system.rep.dim
-    h_stack = _shifted_stack(system.hamiltonian.grid)
+    energy = system.hamiltonian.grid
     rate = 2j * np.pi * n
 
     def rhs(grid):
-        return rate * _bracket_grids(h_stack, grid, n)
+        return rate * _bracket_grids(energy, grid, n)
 
     dt = t / steps
     grid = np.array(start.grid)

@@ -7,9 +7,12 @@ basis index by n2 and multiplying by clock phases in n1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "Representation",
@@ -26,6 +29,8 @@ class Representation:
 
     Both theta components are reduced mod 1 on construction, so two labels
     compare equal exactly when their reduced values coincide bit for bit.
+    A dim that is not an integer of at least 1 raises DimensionError, and a
+    non-finite theta raises DomainError.
     """
 
     theta1: float
@@ -34,12 +39,15 @@ class Representation:
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or isinstance(self.dim, bool):
-            raise ValueError(f"dim must be an integer, got {self.dim!r}")
+            raise DimensionError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
-            raise ValueError(f"dim must be at least 1, got {self.dim}")
+            raise DimensionError(f"dim must be at least 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
         for name in ("theta1", "theta2"):
-            value = float(getattr(self, name)) % 1.0
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            value %= 1.0
             if value >= 1.0:
                 # Python's float mod can round up to the divisor for tiny
                 # negative inputs; fold that case back to 0.

@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from torusq import Representation, dequantize, pauli_symbols, wigner_state
-from torusq import serialize
+from torusq import cli, serialize
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -201,6 +202,35 @@ def test_evolve_step_count_validated(tmp_path):
     start = tmp_path / "start.json"
     start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
     assert run_cli("evolve", str(ham), str(start), "--t", "1", "--steps", "0").returncode == 2
+
+
+BAD_LABELS = [
+    (["quantize", "{tp}", "--N", "0"], 3),
+    (["quantize", "{tp}", "--N", "-3"], 3),
+    (["quantize", "{tp}", "--N", "2", "--theta1", "nan"], 4),
+    (["quantize", "{tp}", "--N", "2", "--theta2", "inf"], 4),
+    (["quantize", "{sym}", "--theta1=-inf"], 4),
+    (["dequantize", "{op}", "--theta1", "nan"], 4),
+    (["dequantize", "{op}", "--theta2", "inf"], 4),
+    (["wigner", "{psi}", "--theta1", "inf"], 4),
+    (["evolve", "{tp}", "{sym}", "--t", "0.1", "--theta2", "nan"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_LABELS, ids=[" ".join(a) for a, _ in BAD_LABELS])
+def test_bad_representation_flags_are_refused(tmp_path, capsys, argv, code):
+    files = {
+        "tp": '[{"n1":1,"n2":0,"re":0.5,"im":0.0},{"n1":-1,"n2":0,"re":0.5,"im":0.0}]',
+        "sym": serialize.sampled_to_json(dequantize(Representation(0.0, 0.0, 2), SX)),
+        "op": serialize.operator_to_json(SX),
+        "psi": serialize.state_to_json([1.0, 0.0]),
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(text)
+    assert cli.main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_malformed_json_is_exit_2(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from torusq import (
     DimensionError,
+    DomainError,
     HamiltonianSystem,
     Representation,
     SampledSymbol,
@@ -67,8 +68,11 @@ def test_operator_shape_checked():
 def test_symbol_steps_validated():
     system, rng = generic_system(2, 25)
     a = SampledSymbol(rng.standard_normal((4, 4)) + 0j, system.rep)
-    with pytest.raises(ValueError):
-        evolve_symbol(system, a, 1.0, 0)
+    for steps in (0, -2, 2.7, 3.0, True, "4"):
+        with pytest.raises(DomainError):
+            evolve_symbol(system, a, 1.0, steps)
+    by_numpy_int = evolve_symbol(system, a, 0.1, np.int64(3)).grid
+    assert np.array_equal(by_numpy_int, evolve_symbol(system, a, 0.1, 3).grid)
 
 
 def test_symbol_zero_time_unchanged():

@@ -58,7 +58,7 @@ def random_symbol(rng, rep):
     return SampledSymbol(grid, rep)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_product_matches_literal_sum(dim):
     rng = np.random.default_rng(100 + dim)
     rep = Representation(0.3, 0.7, dim)
@@ -136,6 +136,23 @@ def test_bracket_with_itself_vanishes():
     a = random_symbol(rng, rep)
     scale = np.max(np.abs(a.grid)) ** 2 + 1.0
     assert np.max(np.abs(moyal_bracket(a, a).grid)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+def test_bracket_with_itself_is_exactly_zero(dim):
+    rng = np.random.default_rng(20 + dim)
+    a = random_symbol(rng, Representation(0.6, 0.1, dim))
+    assert np.array_equal(moyal_bracket(a, a).grid, np.zeros((2 * dim, 2 * dim)))
+
+
+def test_homomorphism_at_large_dimension():
+    rng = np.random.default_rng(15)
+    rep = Representation(rng.uniform(), rng.uniform(), 32)
+    a = random_symbol(rng, rep)
+    b = random_symbol(rng, rep)
+    qa, qb = quantize_sampled(a), quantize_sampled(b)
+    assert np.max(np.abs(quantize_sampled(moyal_product(a, b)) - qa @ qb)) < 1e-9
+    assert np.max(np.abs(quantize_sampled(moyal_bracket(a, b)) - (qa @ qb - qb @ qa))) < 1e-9
 
 
 def test_constant_is_central():

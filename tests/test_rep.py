@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from torusq import Representation, check_representation_laws, generator_t1, generator_t2, heisenberg
+from torusq import (
+    DimensionError,
+    DomainError,
+    Representation,
+    check_representation_laws,
+    generator_t1,
+    generator_t2,
+    heisenberg,
+)
 
 
 def test_theta_reduced_mod_one():
@@ -19,12 +27,17 @@ def test_theta_tiny_negative_folds_to_zero():
 
 
 def test_dim_validation():
-    with pytest.raises(ValueError):
-        Representation(0.0, 0.0, 0)
-    with pytest.raises(ValueError):
-        Representation(0.0, 0.0, -3)
-    with pytest.raises(ValueError):
-        Representation(0.0, 0.0, 2.5)
+    for dim in (0, -3, 2.5, "2", True):
+        with pytest.raises(DimensionError):
+            Representation(0.0, 0.0, dim)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_theta_is_a_domain_error(theta):
+    with pytest.raises(DomainError):
+        Representation(theta, 0.0, 2)
+    with pytest.raises(DomainError):
+        Representation(0.0, theta, 2)
 
 
 def test_identity_element():
