@@ -4,7 +4,7 @@ Subcommands cover the main workflows: quantize a symbol file, dequantize
 an operator file, build Wigner tables from state vectors, integrate
 Heisenberg dynamics on the symbol side, and run the acceptance battery.
 Exit codes: 0 success, 1 failed selftest, 2 unreadable or malformed
-input, 3 inconsistent dimensions, 4 out-of-domain data.
+input or command line, 3 inconsistent dimensions, 4 out-of-domain data.
 """
 from __future__ import annotations
 
@@ -167,8 +167,15 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise FormatError (exit 2)."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusq",
         description="Weyl quantization, Wigner tables and Moyal dynamics on the torus.",
     )
@@ -223,9 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args = _build_parser().parse_args(argv)
+        # A non-finite result is refused where it is checked or serialized
+        # (exit 4), so numpy's overflow warnings would only clutter stderr.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

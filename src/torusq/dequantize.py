@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._phases import phases
 from .errors import DimensionError
 from .rep import Representation
 from .symbols import SampledSymbol, TrigPolynomial, delta
@@ -80,15 +79,18 @@ def big_pauli(rep: Representation, r: int, s: int) -> np.ndarray:
     """Generalized Pauli matrix B[r, s] with entry exp(-i pi (r - 2j) s / N) at (j, r - j mod N).
 
     Indices run over the doubled range 0..2N-1; the N-shifted matrices differ
-    from the principal ones only by signs, and those sign laws hold exactly
-    because the phases come from the shared table.
+    from the principal ones only by signs.  Each phase is computed as
+    +-exp(-i pi (t mod N) / N) with t = (r - 2j) s mod 2N and the minus sign
+    for t >= N, so those sign laws hold bit for bit.
     """
     n = rep.dim
     if not (0 <= r < 2 * n and 0 <= s < 2 * n):
-        raise ValueError(f"indices must lie in 0..{2 * n - 1}, got ({r}, {s})")
+        raise DimensionError(f"indices must lie in 0..{2 * n - 1}, got ({r}, {s})")
     j = np.arange(n)
+    t = ((r - 2 * j) * s) % (2 * n)
     out = np.zeros((n, n), dtype=complex)
-    out[j, (r - j) % n] = phases((r - 2 * j) * s, n)
+    phase = np.exp(-1j * np.pi * (t % n) / n)
+    out[j, (r - j) % n] = np.where(t < n, phase, -phase)
     return out
 
 
@@ -101,7 +103,7 @@ def big_pauli_symbol(rep: Representation, r: int, s: int) -> TrigPolynomial:
     """
     n = rep.dim
     if not (0 <= r < 2 * n and 0 <= s < 2 * n):
-        raise ValueError(f"indices must lie in 0..{2 * n - 1}, got ({r}, {s})")
+        raise DimensionError(f"indices must lie in 0..{2 * n - 1}, got ({r}, {s})")
     x = r / (2 * n) + rep.theta1 / n
     p = s / (2 * n) + rep.theta2 / n
     coeffs = {}

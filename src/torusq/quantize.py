@@ -3,15 +3,14 @@
 Two routes are provided and must agree: the Fourier route sums group
 elements weighted by the Fourier coefficients of a trigonometric
 polynomial, while the sampled route reads the matrix elements directly off
-the lattice grid through a 2N-point discrete Fourier transform.  The DFT is
-evaluated by direct summation; for the dimensions this package targets
-(N <= 16) no fast transform is needed.
+the lattice grid through a 2N-point discrete Fourier transform of each grid
+row.  That transform, and the one inverting the reduced symbol, are numpy
+FFTs followed by a single gather, so both cost O(N^2 log N).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._phases import phases
 from .errors import DimensionError
 from .rep import Representation, heisenberg
 from .symbols import SampledSymbol, TrigPolynomial
@@ -44,9 +43,7 @@ def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
     """
     n = sym.rep.dim
     side = 2 * n
-    idx = np.arange(side)
-    # Direct-summation DFT of every grid row: f2[m, r] = sum_l grid[m, l] w^(r l).
-    f2 = sym.grid @ phases(np.outer(idx, idx), n)
+    f2 = np.fft.fft(sym.grid, axis=1)
     row = np.arange(n)[:, None]
     col = np.arange(n)[None, :]
     first = f2[row + col, (col - row) % side]
@@ -76,10 +73,10 @@ def operator_from_reduced(reduced: np.ndarray) -> np.ndarray:
     if red.ndim != 2 or red.shape[0] != red.shape[1]:
         raise DimensionError(f"reduced symbol must be square, got shape {red.shape}")
     n = red.shape[0]
-    m = np.arange(n)[:, None, None]
-    l = np.arange(n)[None, :, None]
-    s = np.arange(n)[None, None, :]
+    # rows[k, t] = (1 / 2N) sum_s red[k, s] exp(i pi s t / N); the wrap sign
+    # is the N-shift t -> t + N of the column read.
+    rows = np.fft.ifft(red, n=2 * n, axis=1)
+    m = np.arange(n)[:, None]
+    l = np.arange(n)[None, :]
     wrap = (m + l) >= n
-    kernel = phases(-s * (m - l) + n * s * wrap, n)
-    rows = red[(m[..., 0] + l[..., 0]) % n]
-    return np.einsum("mls,mls->ml", rows, kernel) / (2 * n)
+    return rows[(m + l) % n, (m - l + n * wrap) % (2 * n)]

@@ -12,10 +12,11 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, DomainError, FormatError
 from .rep import Representation
 from .symbols import SampledSymbol, TrigPolynomial
 from .wigner import KIND_OPERATOR, KIND_STATE_PAIR, WignerTable
@@ -39,7 +40,7 @@ __all__ = [
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("cannot serialize a non-finite number")
+        raise DomainError("cannot serialize a non-finite number")
     return format(float(x), ".17g")
 
 
@@ -87,7 +88,9 @@ def loads(text: str):
     """Parse JSON text, rejecting NaN and Infinity."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except FormatError:
+        raise
+    except ValueError as exc:  # malformed text, or an integer past Python's digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
@@ -98,7 +101,8 @@ def _as_obj(source):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    # An integer past the float range is as unusable as an infinity.
+    if (isinstance(value, int) and abs(value) > sys.float_info.max) or not math.isfinite(value):
         raise FormatError(f"{where} must be finite, got {value!r}")
     return float(value)
 
@@ -153,6 +157,9 @@ def trig_from_json(source) -> TrigPolynomial:
         n2 = _integer(_field(row, "n2", "trig polynomial row"), "n2")
         re = _number(_field(row, "re", "trig polynomial row"), "re")
         im = _number(_field(row, "im", "trig polynomial row"), "im")
+        # Past 2**53 a frequency is no longer an exact float, so its phases are noise.
+        if max(abs(n1), abs(n2)) >= 2**53:
+            raise DomainError(f"frequency ({n1}, {n2}) is not below 2**53 in magnitude")
         key = (n1, n2)
         coeffs[key] = coeffs.get(key, 0j) + complex(re, im)
     return TrigPolynomial(coeffs)

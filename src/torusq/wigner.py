@@ -8,9 +8,10 @@ three symmetries
     S2:  W(m, l + N) = (-1)^m W(m, l)
     S3:  W(m + N, l + N) = (-1)^(m + l + N) W(m, l)
 
-propagate it to the rest of the grid (the ghost copies).  All kernels here
-are indexed through the shared exact phase table, so S1 to S3 hold bit for
-bit on every table this module produces.
+propagate it to the rest of the grid (the ghost copies).  Every table here
+is built by computing the principal block with one FFT per row and filling
+the ghost copies with symmetric_extension, so S1 to S3 hold bit for bit by
+construction.
 """
 from __future__ import annotations
 
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._phases import phases
 from .errors import DimensionError, DomainError
 from .rep import Representation, heisenberg
-from .symbols import SampledSymbol
+from .symbols import SampledSymbol, _signs
 
 __all__ = [
     "KIND_STATE_PAIR",
@@ -72,14 +72,12 @@ def _check_state(rep: Representation, psi: np.ndarray, name: str) -> np.ndarray:
 
 
 def _core(coeff: np.ndarray, n: int) -> np.ndarray:
-    # coeff[r, l] with r over the doubled lattice, l over Z_N; the table keeps
-    # the (2l - r) s phases exact mod 2N.
-    side = 2 * n
-    r = np.arange(side)[:, None, None]
-    l = np.arange(n)[None, :, None]
-    s = np.arange(side)[None, None, :]
-    kernel = phases((2 * l - r) * s, n)
-    return np.einsum("rl,rls->rs", coeff, kernel) / side
+    # coeff[r, l] for r, l in Z_N.  On the principal block the sum
+    # (1/2N) sum_l coeff[r, l] exp(-i pi (2l - r) s / N) is a row FFT times
+    # exp(i pi r s / N); the ghost blocks follow from S1 to S3.
+    rs = np.arange(n)[:, None] * np.arange(n)[None, :]
+    twist = np.exp(1j * np.pi * (rs % (2 * n)) / n)
+    return symmetric_extension(twist * np.fft.fft(coeff, axis=1) / (2 * n))
 
 
 def fourier_wigner(rep: Representation, psi, phi, n1: int, n2: int) -> complex:
@@ -98,7 +96,7 @@ def wigner_state(rep: Representation, psi, phi) -> WignerTable:
     psi = _check_state(rep, psi, "psi")
     phi = _check_state(rep, phi, "phi")
     n = rep.dim
-    r = np.arange(2 * n)[:, None]
+    r = np.arange(n)[:, None]
     l = np.arange(n)[None, :]
     coeff = np.conj(psi[(r - l) % n]) * phi[l]
     return WignerTable(_core(coeff, n), rep, KIND_STATE_PAIR)
@@ -115,7 +113,7 @@ def wigner_operator(rep: Representation, operator) -> WignerTable:
             f"operator must be {rep.dim} x {rep.dim}, got shape {a.shape}"
         )
     n = rep.dim
-    r = np.arange(2 * n)[:, None]
+    r = np.arange(n)[:, None]
     l = np.arange(n)[None, :]
     coeff = a[l, (r - l) % n]
     return WignerTable(_core(coeff, n), rep, KIND_OPERATOR)
@@ -147,8 +145,8 @@ def check_symmetries(table: WignerTable) -> float:
     g = table.grid
     n = table.rep.dim
     side = 2 * n
-    sl = np.where(np.arange(side) % 2 == 0, 1.0, -1.0)[None, :]
-    sm = np.where(np.arange(side) % 2 == 0, 1.0, -1.0)[:, None]
+    sl = _signs(side)[None, :]
+    sm = _signs(side)[:, None]
     sign_n = 1.0 if n % 2 == 0 else -1.0
     r1 = np.roll(g, -n, axis=0) - sl * g
     r2 = np.roll(g, -n, axis=1) - sm * g
@@ -162,8 +160,8 @@ def symmetric_extension(block: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionError(f"principal block must be square, got shape {b.shape}")
     n = b.shape[0]
-    sj = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
-    sk = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[None, :]
+    sj = _signs(n)[:, None]
+    sk = _signs(n)[None, :]
     sign_n = 1.0 if n % 2 == 0 else -1.0
     out = np.empty((2 * n, 2 * n), dtype=complex)
     out[:n, :n] = b

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusq import Representation, dequantize, pauli_symbols, wigner_state
 from torusq import cli, serialize
@@ -214,6 +220,9 @@ BAD_LABELS = [
     (["dequantize", "{op}", "--theta2", "inf"], 4),
     (["wigner", "{psi}", "--theta1", "inf"], 4),
     (["evolve", "{tp}", "{sym}", "--t", "0.1", "--theta2", "nan"], 4),
+    (["quantize", "{tp}", "--N", "2", "--theta1", "-inf"], 2),
+    (["evolve", "{tp}", "{sym}"], 2),
+    (["transform", "{tp}"], 2),
 ]
 
 
@@ -231,6 +240,25 @@ def test_bad_representation_flags_are_refused(tmp_path, capsys, argv, code):
         paths[key].write_text(text)
     assert cli.main([arg.format(**paths) for arg in argv]) == code
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_help_exits_0():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:")
+
+
+# The two frequencies alias at N = 1, so the Fourier route overflows to inf.
+OVERFLOW_TRIG = '[{"n1":0,"n2":0,"re":1e308,"im":0.0},{"n1":2,"n2":0,"re":1e308,"im":0.0}]'
+
+
+def test_non_finite_output_is_exit_4(tmp_path):
+    src = tmp_path / "big.json"
+    src.write_text(OVERFLOW_TRIG)
+    proc = run_cli("quantize", str(src), "--N", "1")
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
 
 
 def test_malformed_json_is_exit_2(tmp_path):
@@ -262,3 +290,113 @@ def test_selftest_battery():
     lines = proc.stdout.strip().split("\n")
     assert lines[-1] == "12/12 criteria passed"
     assert sum(1 for line in lines if " PASS " in line) == 12
+
+
+# Fuzzing: malformed documents and flag values must end in a documented exit
+# code, never a traceback.  Valid trig polynomial inputs only ever meet
+# --N <= 64; a huge --N is paired with sampled-symbol documents, which fix
+# their own dimension, so no run allocates a huge grid.
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([2**53, -(10**30), 10**400]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+)
+_NUMBERS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308, 5e-324]), _SCALARS)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_PAIRS = st.lists(st.one_of(st.lists(_NUMBERS, min_size=2, max_size=2), _SCALARS), max_size=5)
+_FINITE_PAIR = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+_DOCUMENTS = {
+    "text": st.one_of(
+        st.text(max_size=20),
+        st.sampled_from(["", "{", "[1,", "NaN", "[Infinity]", "1" * 5000, '{"N": 2']),
+    ),
+    "json": _JSON.map(json.dumps),
+    "trig": st.lists(
+        st.fixed_dictionaries(
+            {
+                "n1": st.one_of(st.integers(-9, 9), _SCALARS),
+                "n2": st.one_of(st.integers(-9, 9), _SCALARS),
+                "re": _NUMBERS,
+                "im": _NUMBERS,
+            }
+        ),
+        max_size=4,
+    ).map(json.dumps),
+    "sampled": st.integers(1, 3).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "theta1": _NUMBERS,
+                "theta2": _NUMBERS,
+                "N": st.one_of(st.just(n), st.integers(-1, 4), st.just(10**12), _SCALARS),
+                "grid": st.one_of(
+                    st.lists(_FINITE_PAIR, min_size=4 * n * n, max_size=4 * n * n), _PAIRS
+                ),
+            }
+        )
+    ).map(json.dumps),
+    "state": _PAIRS.map(json.dumps),
+    "operator": st.fixed_dictionaries(
+        {"N": st.one_of(st.integers(-1, 2), st.just(10**12), _SCALARS), "entries": _PAIRS}
+    ).map(json.dumps),
+}
+_FLOAT_FLAGS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "", "0.25"]),
+)
+_SAFE_N = st.one_of(st.integers(-5, 64).map(str), st.sampled_from(["nan", "inf", "abc", "2.5", ""]))
+_HUGE_N = st.sampled_from([str(10**9), str(2**63), str(10**30)])
+
+
+@st.composite
+def _cli_runs(draw):
+    """A fuzzed command line, with {0}, {1} standing for its document files."""
+    command = draw(st.sampled_from(["quantize", "dequantize", "wigner", "evolve"]))
+    kinds = [draw(st.sampled_from(sorted(_DOCUMENTS)))]
+    if command == "evolve" or (command == "wigner" and draw(st.booleans())):
+        kinds.append(draw(st.sampled_from(sorted(_DOCUMENTS))))
+    docs = [draw(_DOCUMENTS[kind]) for kind in kinds]
+    argv = [command, *(f"{{{i}}}" for i in range(len(docs)))]
+    if command == "quantize":
+        if draw(st.booleans()):
+            sizes = _SAFE_N | _HUGE_N if kinds[0] == "sampled" else _SAFE_N
+            argv += ["--N", draw(sizes)]
+        if draw(st.booleans()):
+            argv += ["--route", draw(st.sampled_from(["auto", "fourier", "sampled", "both"]))]
+    if command == "evolve":
+        argv += ["--t", draw(_FLOAT_FLAGS)]
+        argv += ["--steps", draw(st.sampled_from(["1", "2", "0", "-1", "x"]))]
+    for name in ("--theta1", "--theta2"):
+        if draw(st.booleans()):
+            argv += [name, draw(_FLOAT_FLAGS)]
+    return argv, docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_cli_runs())
+@example(run=(["dequantize", "{0}"], ["1" * 5000]))
+@example(run=(["quantize", "{0}", "--N", "2"], ['[{"n1": %d, "n2": 0, "re": 1, "im": 0}]' % 10**400]))
+@example(run=(["quantize", "{0}"], ['{"theta1": 0, "theta2": %d, "N": 1, "grid": []}' % 10**400]))
+@example(run=(["quantize", "{0}", "--N", "1"], [OVERFLOW_TRIG]))
+@example(run=(["wigner", "{0}", "--theta1", "-inf"], ["[[1, 0]]"]))
+def test_fuzzed_inputs_end_in_a_documented_exit(run):
+    argv, docs = run
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(docs):
+            path = Path(tmp) / f"doc{i}.json"
+            path.write_text(text)
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.format(*paths) for arg in argv])
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert err.getvalue().startswith("error:")

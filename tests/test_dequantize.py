@@ -100,16 +100,19 @@ def test_big_pauli_spin_half_dictionary():
 
 def test_big_pauli_range_checked():
     rep = Representation(0.0, 0.0, 3)
-    with pytest.raises(ValueError):
+    # DimensionError is a ValueError, so callers catching ValueError still work
+    assert issubclass(DimensionError, ValueError)
+    with pytest.raises(DimensionError):
         big_pauli(rep, 6, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         big_pauli(rep, 0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         big_pauli_symbol(rep, 0, 6)
 
 
-def test_big_pauli_shift_signs_are_exact():
-    rep = Representation(0.6, 0.1, 3)
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_big_pauli_shift_signs_are_exact(dim):
+    rep = Representation(0.6, 0.1, dim)
     n = rep.dim
     for r in range(n):
         for s in range(n):

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,42 @@ def test_reduced_inversion_composes_to_quantization():
             sym = SampledSymbol(g, rep)
             rebuilt = operator_from_reduced(delta(sym))
             assert np.max(np.abs(rebuilt - quantize_sampled(sym))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sampled_route_matches_literal_f2_formula(dim):
+    # (1 / 2N) [F2 a(j + n, j - n) + F2 a(j + n + N, j - n + N)] at row n, column j,
+    # with F2 a(m, r) = sum_l a(m, l) exp(-2 i pi r l / 2N)
+    rng = np.random.default_rng(70 + dim)
+    side = 2 * dim
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+
+    def f2(m, r):
+        m, r = m % side, r % side
+        return sum(g[m, l] * cmath.exp(-2j * cmath.pi * r * l / side) for l in range(side))
+
+    expected = np.zeros((dim, dim), dtype=complex)
+    for n in range(dim):
+        for j in range(dim):
+            expected[n, j] = (f2(j + n, j - n) + f2(j + n + dim, j - n + dim)) / side
+    built = quantize_sampled(SampledSymbol(g, Representation(rng.uniform(), rng.uniform(), dim)))
+    assert np.max(np.abs(built - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_reduced_inversion_matches_literal_wrap_sign_sum(dim):
+    # (1 / 2N) sum_s red[(m+l) % N, s] (-1)^(s w) exp(i pi s (m-l) / N), w = [m + l >= N]
+    rng = np.random.default_rng(80 + dim)
+    red = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    expected = np.zeros((dim, dim), dtype=complex)
+    for m in range(dim):
+        for l in range(dim):
+            w = 1 if m + l >= dim else 0
+            total = 0j
+            for s in range(dim):
+                total += red[(m + l) % dim, s] * (-1) ** (s * w) * cmath.exp(1j * cmath.pi * s * (m - l) / dim)
+            expected[m, l] = total / (2 * dim)
+    assert np.max(np.abs(operator_from_reduced(red) - expected)) < 1e-13
 
 
 def test_reduced_unit_matrices_give_pauli_basis():

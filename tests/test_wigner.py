@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,37 @@ def test_marginals():
         assert np.max(np.abs(mx[0::2] - np.conj(psi) * phi)) < 1e-14
         hat_psi, hat_phi = np.fft.fft(psi), np.fft.fft(phi)
         assert np.max(np.abs(mp[0::2] - np.conj(hat_psi) * hat_phi / dim)) < 1e-13
+
+
+def _literal_table(coeff, dim):
+    """W(r, s) = (1/2N) sum_{l in Z_N} coeff(r, l) exp(-i pi (2l - r) s / N), summed in loops."""
+    side = 2 * dim
+    table = np.zeros((side, side), dtype=complex)
+    for r in range(side):
+        for s in range(side):
+            total = 0j
+            for l in range(dim):
+                total += coeff(r, l) * cmath.exp(-1j * cmath.pi * (2 * l - r) * s / dim)
+            table[r, s] = total / side
+    return table
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_state_table_matches_literal_sum(dim):
+    rng = np.random.default_rng(30 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    psi, phi = _random_pair(rng, dim)
+    expected = _literal_table(lambda r, l: np.conj(psi[(r - l) % dim]) * phi[l], dim)
+    assert np.max(np.abs(wigner_state(rep, psi, phi).grid - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_operator_table_matches_literal_sum(dim):
+    rng = np.random.default_rng(40 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    expected = _literal_table(lambda r, l: a[l, (r - l) % dim], dim)
+    assert np.max(np.abs(wigner_operator(rep, a).grid - expected)) < 1e-13
 
 
 def test_symmetries_exact_and_extension_roundtrip():
