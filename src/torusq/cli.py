@@ -139,6 +139,8 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if args.steps < 1:
+        raise FormatError("--steps must be at least 1")
     start = serialize.sampled_from_json(serialize.loads(_read(args.symbol)))
     _check_flag_consistency(args, start.rep)
     doc = serialize.loads(_read(args.hamiltonian))
@@ -147,8 +149,6 @@ def _cmd_evolve(args) -> int:
     else:
         energy = serialize.sampled_from_json(doc)
     system = HamiltonianSystem(energy, start.rep)
-    if args.steps < 1:
-        raise FormatError("--steps must be at least 1")
     evolved = evolve_symbol(system, start, args.t, args.steps)
     exact = evolve_operator(system, quantize_sampled(start), args.t)
     defect = float(np.max(np.abs(quantize_sampled(evolved) - exact)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusq import Representation, dequantize, pauli_symbols, wigner_state
+from torusq import Representation, SampledSymbol, dequantize, pauli_symbols, wigner_state
 from torusq import cli, serialize
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -210,6 +210,24 @@ def test_evolve_step_count_validated(tmp_path):
     assert run_cli("evolve", str(ham), str(start), "--t", "1", "--steps", "0").returncode == 2
 
 
+def test_evolve_step_count_checked_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["evolve", missing, missing, "--t", "1", "--steps", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --steps must be at least 1")
+
+
+@pytest.mark.parametrize("t, steps", [("nan", "20000"), ("inf", "20000"), ("1e308", "2")])
+def test_evolve_refuses_time_before_printing_a_defect(tmp_path, capsys, t, steps):
+    rep = Representation(0.0, 0.0, 2)
+    ham = tmp_path / "h.json"
+    ham.write_text('[{"n1":1,"n2":0,"re":0.5,"im":0.0},{"n1":-1,"n2":0,"re":0.5,"im":0.0}]')
+    start = tmp_path / "start.json"
+    start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
+    assert cli.main(["evolve", str(ham), str(start), "--t", t, "--steps", steps]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "defect" not in err
+
+
 BAD_LABELS = [
     (["quantize", "{tp}", "--N", "0"], 3),
     (["quantize", "{tp}", "--N", "-3"], 3),
@@ -397,6 +415,56 @@ def test_fuzzed_inputs_end_in_a_documented_exit(run):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([arg.format(*paths) for arg in argv])
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert err.getvalue().startswith("error:")
+
+
+# Fuzzing evolve's numeric flags on valid documents: a sparse trig Hamiltonian
+# (twisted-convolution route) and a dense sampled one (FFT-bracket route).
+# --steps stays at most 40, so no example runs long.
+
+_TIMES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324", "1e400", "0"]),
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_ANGLES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "0.0", "1e308", "5e-324", "2.0", "-1.0"]),
+    st.floats(-3.0, 3.0).map(repr),
+)
+
+
+@st.composite
+def _evolve_flags(draw):
+    argv = ["--t=" + draw(_TIMES), "--steps=" + str(draw(st.integers(-3, 40)))]
+    for name in ("--theta1", "--theta2"):
+        if draw(st.booleans()):
+            argv.append(f"{name}={draw(_ANGLES)}")
+    return draw(st.sampled_from(["trig", "sampled"])), argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=_evolve_flags())
+@example(run=("trig", ["--t=nan", "--steps=40"]))
+@example(run=("sampled", ["--t=1e308", "--steps=2"]))
+@example(run=("trig", ["--t=-1e308", "--steps=40", "--theta1=2.0"]))
+def test_fuzzed_evolve_flags_end_in_a_documented_exit(run):
+    hamiltonian, flags = run
+    rep = Representation(0.0, 0.0, 2)
+    rng = np.random.default_rng(71)
+    documents = {
+        "trig": '[{"n1":1,"n2":0,"re":0.2,"im":0.0},{"n1":-1,"n2":0,"re":0.2,"im":0.0},'
+                '{"n1":0,"n2":1,"re":0.1,"im":0.0},{"n1":0,"n2":-1,"re":0.1,"im":0.0}]',
+        "sampled": serialize.sampled_to_json(SampledSymbol(rng.standard_normal((4, 4)), rep)),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        ham, start = Path(tmp) / "h.json", Path(tmp) / "start.json"
+        ham.write_text(documents[hamiltonian])
+        start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["evolve", str(ham), str(start), *flags])
     assert code in (0, 2, 3, 4)
     if code != 0:
         assert err.getvalue().startswith("error:")
