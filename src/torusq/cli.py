@@ -39,10 +39,6 @@ def _deliver(text: str, path) -> None:
             handle.write(text)
 
 
-def _pair_list(vector) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vector, dtype=complex)]
-
-
 def _rep_from_flags(args, dim: int) -> Representation:
     """Representation of the --theta1/--theta2 flags (0 when absent) and dim."""
     theta1 = 0.0 if args.theta1 is None else args.theta1
@@ -130,8 +126,8 @@ def _cmd_wigner(args) -> int:
     mass = complex(table.grid.sum())
     summary = {
         "mass": [mass.real, mass.imag],
-        "marginal_x": _pair_list(marginal_x(table)),
-        "marginal_p": _pair_list(marginal_p(table)),
+        "marginal_x": marginal_x(table),
+        "marginal_p": marginal_p(table),
         "symmetry_residual": check_symmetries(table),
     }
     _deliver(serialize.wigner_to_json(table, extra={"summary": summary}), args.output)

@@ -284,4 +284,9 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
         spectrum = np.fft.fft2(start.grid).ravel()
         change = (_rk4(generator, spectrum, t, steps) - spectrum).reshape(start.grid.shape)
         grid = start.grid + np.fft.ifft2(change)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(
+            f"the evolved symbol is not finite at t={t!r} with steps={steps}: "
+            "the RK4 step t/steps is too large"
+        )
     return SampledSymbol(grid, system.rep)

@@ -2,14 +2,13 @@
 
 Numbers are emitted with 17 significant digits, which round-trips every
 double exactly, and field order is fixed, so identical inputs always
-produce byte-identical output.  Loaders validate the schema and raise
-FormatError for malformed documents, DimensionError for internally
-inconsistent sizes.
+produce byte-identical output.  A numpy array is written as the flat list
+of [re, im] pairs of its entries in row-major order.  Loaders validate the
+schema and raise FormatError for malformed documents, DimensionError for
+internally inconsistent sizes.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError
 from .rep import Representation
-from .symbols import SampledSymbol, TrigPolynomial
+from .symbols import SampledSymbol, TrigPolynomial, _lattice_axes
 from .wigner import KIND_OPERATOR, KIND_STATE_PAIR, WignerTable
 
 __all__ = [
@@ -38,10 +37,23 @@ __all__ = [
 ]
 
 
+_NON_FINITE = "cannot serialize a non-finite number"
+
+
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise DomainError("cannot serialize a non-finite number")
+        raise DomainError(_NON_FINITE)
     return format(float(x), ".17g")
+
+
+def _format_rows(row: str, table: np.ndarray, sep: str = "") -> str:
+    """Each row of a real table through the %-template row, joined by sep.
+
+    %.17g writes the same digits as _format_float.
+    """
+    if not np.all(np.isfinite(table)):
+        raise DomainError(_NON_FINITE)
+    return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
 
 
 def _emit(obj, parts: list):
@@ -53,6 +65,10 @@ def _emit(obj, parts: list):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         parts.append(_format_float(float(obj)))
+    elif isinstance(obj, np.ndarray):
+        flat = np.asarray(obj, dtype=complex).ravel()
+        pairs = np.column_stack((flat.real, flat.imag))
+        parts.append("[" + _format_rows("[%.17g,%.17g]", pairs, ",") + "]")
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -74,7 +90,10 @@ def _emit(obj, parts: list):
 
 
 def dumps(obj) -> str:
-    """Serialize to JSON text with fixed field order and 17-digit floats."""
+    """Serialize to JSON text with fixed field order and 17-digit floats.
+
+    A numpy array becomes the flat list of [re, im] pairs of its entries.
+    """
     parts: list = []
     _emit(obj, parts)
     return "".join(parts)
@@ -133,11 +152,6 @@ def _complex_list(values, where: str) -> np.ndarray:
     return np.array([_pair(v, where) for v in values], dtype=complex)
 
 
-def _pairs(array: np.ndarray) -> list:
-    flat = np.asarray(array, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
 def trig_to_json(tp: TrigPolynomial) -> str:
     """Array of {n1, n2, re, im} rows sorted by frequency."""
     rows = [
@@ -165,39 +179,48 @@ def trig_from_json(source) -> TrigPolynomial:
     return TrigPolynomial(coeffs)
 
 
-def sampled_to_json(sym: SampledSymbol, extra: dict | None = None) -> str:
-    doc = {
-        "theta1": sym.rep.theta1,
-        "theta2": sym.rep.theta2,
-        "N": sym.rep.dim,
-        "grid": _pairs(sym.grid),
-    }
+def _lattice_to_json(grid, rep: Representation, extra: dict | None, **fields) -> str:
+    """Lattice document {theta1, theta2, N, *fields, grid, *extra}."""
+    doc = {"theta1": rep.theta1, "theta2": rep.theta2, "N": rep.dim, **fields, "grid": grid}
     if extra:
         doc.update(extra)
     return dumps(doc)
 
 
-def sampled_from_json(source) -> SampledSymbol:
+def _lattice_from_json(source, what: str, with_kind: bool = False) -> tuple:
+    """Arguments (grid, rep[, kind]) of the object a lattice document describes."""
     obj = _as_obj(source)
-    theta1 = _number(_field(obj, "theta1", "sampled symbol"), "theta1")
-    theta2 = _number(_field(obj, "theta2", "sampled symbol"), "theta2")
-    dim = _integer(_field(obj, "N", "sampled symbol"), "N")
+    theta1 = _number(_field(obj, "theta1", what), "theta1")
+    theta2 = _number(_field(obj, "theta2", what), "theta2")
+    dim = _integer(_field(obj, "N", what), "N")
     if dim < 1:
         raise FormatError(f"N must be positive, got {dim}")
-    values = _complex_list(_field(obj, "grid", "sampled symbol"), "grid entry")
+    tail = ()
+    if with_kind:
+        kind = _field(obj, "kind", what)
+        if kind not in (KIND_STATE_PAIR, KIND_OPERATOR):
+            raise FormatError(f"unknown {what} kind {kind!r}")
+        tail = (kind,)
+    values = _complex_list(_field(obj, "grid", what), "grid entry")
     side = 2 * dim
     if values.size != side * side:
-        raise DimensionError(
-            f"sampled symbol grid has {values.size} entries, expected {side * side}"
-        )
-    return SampledSymbol(values.reshape(side, side), Representation(theta1, theta2, dim))
+        raise DimensionError(f"{what} grid has {values.size} entries, expected {side * side}")
+    return (values.reshape(side, side), Representation(theta1, theta2, dim), *tail)
+
+
+def sampled_to_json(sym: SampledSymbol, extra: dict | None = None) -> str:
+    return _lattice_to_json(sym.grid, sym.rep, extra)
+
+
+def sampled_from_json(source) -> SampledSymbol:
+    return SampledSymbol(*_lattice_from_json(source, "sampled symbol"))
 
 
 def operator_to_json(operator) -> str:
     a = np.asarray(operator, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"operator must be square, got shape {a.shape}")
-    return dumps({"N": a.shape[0], "entries": _pairs(a)})
+    return dumps({"N": a.shape[0], "entries": a})
 
 
 def operator_from_json(source) -> np.ndarray:
@@ -212,42 +235,18 @@ def operator_from_json(source) -> np.ndarray:
 
 
 def wigner_to_json(table: WignerTable, extra: dict | None = None) -> str:
-    doc = {
-        "theta1": table.rep.theta1,
-        "theta2": table.rep.theta2,
-        "N": table.rep.dim,
-        "kind": table.kind,
-        "grid": _pairs(table.grid),
-    }
-    if extra:
-        doc.update(extra)
-    return dumps(doc)
+    return _lattice_to_json(table.grid, table.rep, extra, kind=table.kind)
 
 
 def wigner_from_json(source) -> WignerTable:
-    obj = _as_obj(source)
-    theta1 = _number(_field(obj, "theta1", "Wigner table"), "theta1")
-    theta2 = _number(_field(obj, "theta2", "Wigner table"), "theta2")
-    dim = _integer(_field(obj, "N", "Wigner table"), "N")
-    if dim < 1:
-        raise FormatError(f"N must be positive, got {dim}")
-    kind = _field(obj, "kind", "Wigner table")
-    if kind not in (KIND_STATE_PAIR, KIND_OPERATOR):
-        raise FormatError(f"unknown Wigner table kind {kind!r}")
-    values = _complex_list(_field(obj, "grid", "Wigner table"), "grid entry")
-    side = 2 * dim
-    if values.size != side * side:
-        raise DimensionError(
-            f"Wigner table grid has {values.size} entries, expected {side * side}"
-        )
-    return WignerTable(values.reshape(side, side), Representation(theta1, theta2, dim), kind)
+    return WignerTable(*_lattice_from_json(source, "Wigner table", with_kind=True))
 
 
 def state_to_json(psi) -> str:
     vec = np.asarray(psi, dtype=complex)
     if vec.ndim != 1:
         raise DimensionError(f"state must be a vector, got shape {vec.shape}")
-    return dumps(_pairs(vec))
+    return dumps(vec)
 
 
 def state_from_json(source) -> np.ndarray:
@@ -267,19 +266,6 @@ def lattice_csv(grid, rep: Representation) -> str:
     side = 2 * rep.dim
     if g.shape != (side, side):
         raise DimensionError(f"grid must be {side} x {side}, got shape {g.shape}")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["x", "p", "re", "im"])
-    for r in range(side):
-        x = (r / side + rep.theta1 / rep.dim) % 1.0
-        for s in range(side):
-            p = (s / side + rep.theta2 / rep.dim) % 1.0
-            writer.writerow(
-                [
-                    _format_float(x),
-                    _format_float(p),
-                    _format_float(g[r, s].real),
-                    _format_float(g[r, s].imag),
-                ]
-            )
-    return buffer.getvalue()
+    x, p = _lattice_axes(rep)
+    table = np.column_stack((np.repeat(x, side), np.tile(p, side), g.real.ravel(), g.imag.ravel()))
+    return "x,p,re,im\n" + _format_rows("%.17g,%.17g,%.17g,%.17g\n", table)

@@ -86,6 +86,20 @@ class TrigPolynomial:
         return f"TrigPolynomial({len(self._coeffs)} terms)"
 
 
+def _frozen_grid(grid, rep: Representation, name: str) -> np.ndarray:
+    """Read-only complex copy of a 2N x 2N lattice grid with finite entries."""
+    g = np.array(grid, dtype=complex)
+    side = 2 * rep.dim
+    if g.shape != (side, side):
+        raise DimensionError(
+            f"{name} grid must be {side} x {side} for dim {rep.dim}, got shape {g.shape}"
+        )
+    if not np.all(np.isfinite(g)):
+        raise DomainError(f"{name} entries must be finite")
+    g.setflags(write=False)
+    return g
+
+
 @dataclass(frozen=True, eq=False)
 class SampledSymbol:
     """Values of a symbol on the 2N x 2N lattice of a representation.
@@ -99,17 +113,7 @@ class SampledSymbol:
     rep: Representation
 
     def __post_init__(self):
-        g = np.array(self.grid, dtype=complex)
-        side = 2 * self.rep.dim
-        if g.shape != (side, side):
-            raise DimensionError(
-                f"sampled symbol grid must be {side} x {side} for dim {self.rep.dim}, "
-                f"got shape {g.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise DomainError("sampled symbol entries must be finite")
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "grid", _frozen_grid(self.grid, self.rep, "sampled symbol"))
 
     def _require_same_rep(self, other):
         if self.rep != other.rep:
@@ -145,19 +149,27 @@ def evaluate(tp: TrigPolynomial, x: float, p: float) -> complex:
     return total
 
 
-def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
-    """Sample tp on the lattice of rep: grid[r, s] = tp(r/2N + theta1/N, s/2N + theta2/N)."""
+def _lattice_axes(rep: Representation) -> tuple:
+    """Coordinates r/2N + theta1/N and s/2N + theta2/N of the lattice rows and columns, mod 1."""
     side = 2 * rep.dim
     x = (np.arange(side) / side + rep.theta1 / rep.dim) % 1.0
     p = (np.arange(side) / side + rep.theta2 / rep.dim) % 1.0
-    grid = np.zeros((side, side), dtype=complex)
+    return x, p
+
+
+def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
+    """Sample tp on the lattice of rep: grid[r, s] = tp(r/2N + theta1/N, s/2N + theta2/N)."""
+    x, p = _lattice_axes(rep)
+    grid = np.zeros((x.size, p.size), dtype=complex)
     for (n1, n2), c in tp.items():
         grid += c * np.exp(2j * np.pi * (n1 * x[:, None] + n2 * p[None, :]))
     return SampledSymbol(grid, rep)
 
 
-def _signs(count: int) -> np.ndarray:
-    return np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+def _ghost_signs(n: int, count: int) -> tuple:
+    """Signs (-1)^k, (-1)^j, (-1)^(j+k+n) of the S1, S2, S3 ghost copies, for j, k < count."""
+    s = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+    return s[None, :], s[:, None], (1.0 if n % 2 == 0 else -1.0) * s[:, None] * s[None, :]
 
 
 def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
@@ -166,10 +178,8 @@ def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
     Kept as a single expression with a fixed association so kernel_element
     can cancel it bit for bit.
     """
-    sj = _signs(n)[:, None]
-    sk = _signs(n)[None, :]
-    sign_n = 1.0 if n % 2 == 0 else -1.0
-    return sk * grid[n:, :n] + sj * grid[:n, n:] + (sign_n * sj * sk) * grid[n:, n:]
+    s1, s2, s3 = _ghost_signs(n, n)
+    return s1 * grid[n:, :n] + s2 * grid[:n, n:] + s3 * grid[n:, n:]
 
 
 def delta(sym: SampledSymbol) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .rep import Representation, heisenberg
-from .symbols import SampledSymbol, _signs
+from .symbols import SampledSymbol, _frozen_grid, _ghost_signs
 
 __all__ = [
     "KIND_STATE_PAIR",
@@ -52,16 +52,7 @@ class WignerTable:
     def __post_init__(self):
         if self.kind not in (KIND_STATE_PAIR, KIND_OPERATOR):
             raise DomainError(f"unknown Wigner table kind {self.kind!r}")
-        g = np.array(self.grid, dtype=complex)
-        side = 2 * self.rep.dim
-        if g.shape != (side, side):
-            raise DimensionError(
-                f"Wigner table must be {side} x {side} for dim {self.rep.dim}, got {g.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise DomainError("Wigner table entries must be finite")
-        g.setflags(write=False)
-        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "grid", _frozen_grid(self.grid, self.rep, "Wigner table"))
 
 
 def _check_state(rep: Representation, psi: np.ndarray, name: str) -> np.ndarray:
@@ -144,13 +135,10 @@ def check_symmetries(table: WignerTable) -> float:
     """Largest elementwise residual of the S1, S2, S3 symmetries."""
     g = table.grid
     n = table.rep.dim
-    side = 2 * n
-    sl = _signs(side)[None, :]
-    sm = _signs(side)[:, None]
-    sign_n = 1.0 if n % 2 == 0 else -1.0
-    r1 = np.roll(g, -n, axis=0) - sl * g
-    r2 = np.roll(g, -n, axis=1) - sm * g
-    r3 = np.roll(np.roll(g, -n, axis=0), -n, axis=1) - sign_n * sm * sl * g
+    s1, s2, s3 = _ghost_signs(n, 2 * n)
+    r1 = np.roll(g, -n, axis=0) - s1 * g
+    r2 = np.roll(g, -n, axis=1) - s2 * g
+    r3 = np.roll(np.roll(g, -n, axis=0), -n, axis=1) - s3 * g
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(r3))))
 
 
@@ -160,12 +148,5 @@ def symmetric_extension(block: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionError(f"principal block must be square, got shape {b.shape}")
     n = b.shape[0]
-    sj = _signs(n)[:, None]
-    sk = _signs(n)[None, :]
-    sign_n = 1.0 if n % 2 == 0 else -1.0
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = b
-    out[n:, :n] = sk * b
-    out[:n, n:] = sj * b
-    out[n:, n:] = sign_n * sj * sk * b
-    return out
+    s1, s2, s3 = _ghost_signs(n, n)
+    return np.block([[b, s2 * b], [s1 * b, s3 * b]])

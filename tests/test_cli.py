@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusq import Representation, SampledSymbol, dequantize, pauli_symbols, wigner_state
+from torusq import (
+    Representation,
+    SampledSymbol,
+    TrigPolynomial,
+    dequantize,
+    pauli_symbols,
+    wigner_state,
+)
 from torusq import cli, serialize
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,6 +233,24 @@ def test_evolve_refuses_time_before_printing_a_defect(tmp_path, capsys, t, steps
     assert cli.main(["evolve", str(ham), str(start), "--t", t, "--steps", steps]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and "defect" not in err
+
+
+def test_evolve_overflow_names_time_and_steps(tmp_path, capsys):
+    # The four-mode Hamiltonian of the dynamics benchmark at N = 4.
+    ham = tmp_path / "h.json"
+    ham.write_text(
+        serialize.trig_to_json(
+            TrigPolynomial({(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.1, (0, -1): 0.1})
+        )
+    )
+    rng = np.random.default_rng(62)
+    start = tmp_path / "start.json"
+    grid = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    start.write_text(serialize.sampled_to_json(SampledSymbol(grid, Representation(0.3, 0.6, 4))))
+    assert cli.main(["evolve", str(ham), str(start), "--t", "1e300", "--steps", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "t=1e+300" in err and "steps=2" in err
 
 
 BAD_LABELS = [

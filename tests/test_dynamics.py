@@ -289,3 +289,11 @@ def test_operator_phases_must_stay_finite():
     system, _ = generic_system(2, 34)
     with pytest.raises(DomainError):
         evolve_operator(system, np.eye(2), 1e308)
+
+
+def test_overflow_names_time_and_steps():
+    for make_system in (generic_system, dense_system):
+        system, rng = make_system(4, 35)
+        a = SampledSymbol(rng.standard_normal((8, 8)) + 0j, system.rep)
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match=r"t=1e\+300 with steps=2"):
+            evolve_symbol(system, a, 1e300, 2)

@@ -3,6 +3,7 @@ import pytest
 
 from torusq import (
     DimensionError,
+    DomainError,
     FormatError,
     KIND_OPERATOR,
     KIND_STATE_PAIR,
@@ -115,6 +116,21 @@ def test_sampled_ignores_unknown_keys():
     assert np.array_equal(back.grid, sym.grid)
 
 
+def test_lattice_readers_name_their_document():
+    obj = loads(wigner_to_json(WignerTable(np.zeros((2, 2)), Representation(0, 0, 1), KIND_OPERATOR)))
+    with pytest.raises(FormatError, match="Wigner table is missing the 'kind' field"):
+        wigner_from_json({k: v for k, v in obj.items() if k != "kind"})
+    with pytest.raises(FormatError, match="unknown Wigner table kind 'mystery'"):
+        wigner_from_json({**obj, "kind": "mystery", "grid": "not a list"})
+    with pytest.raises(DimensionError, match="Wigner table grid has 3 entries, expected 4"):
+        wigner_from_json({**obj, "grid": obj["grid"][:3]})
+    with pytest.raises(DimensionError, match="sampled symbol grid has 3 entries, expected 4"):
+        sampled_from_json({**obj, "grid": obj["grid"][:3]})
+    # The representation fields are read before the kind and the grid.
+    with pytest.raises(FormatError, match="Wigner table is missing the 'theta1' field"):
+        wigner_from_json({"N": 1})
+
+
 def test_operator_round_trip():
     rng = np.random.default_rng(52)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -182,3 +198,108 @@ def test_lattice_csv_layout():
 def test_lattice_csv_shape_checked():
     with pytest.raises(DimensionError):
         lattice_csv(np.zeros((3, 3)), Representation(0, 0, 1))
+
+
+# Fixed entries that stress the 17-digit format: -0.0, the smallest
+# subnormal, a value near the top of the float range, 0.1, 1/3 and
+# integral floats.  The expected texts below are pinned byte for byte.
+PINNED_REP = Representation(0.1, 0.7, 1)
+PINNED_PAIRS = (
+    "[[-0,4.9406564584124654e-324],[1e+308,0.10000000000000001],"
+    "[0.33333333333333331,-7],[2,-0]]"
+)
+PINNED_HEAD = '{"theta1":0.10000000000000001,"theta2":0.69999999999999996,"N":1,'
+
+
+def pinned_grid():
+    grid = np.empty((2, 2), dtype=complex)
+    grid.real = [[-0.0, 1e308], [1 / 3, 2.0]]
+    grid.imag = [[5e-324, 0.1], [-7.0, -0.0]]
+    return grid
+
+
+def test_sampled_to_json_bytes_are_pinned():
+    text = sampled_to_json(
+        SampledSymbol(pinned_grid(), PINNED_REP), extra={"diagnostics": {"t": 0.1, "steps": 3}}
+    )
+    assert text == (
+        PINNED_HEAD + '"grid":' + PINNED_PAIRS
+        + ',"diagnostics":{"t":0.10000000000000001,"steps":3}}'
+    )
+
+
+def test_wigner_to_json_bytes_are_pinned():
+    summary = {
+        "mass": [1.5, -0.0],
+        "marginal_x": [[0.1, 2.0], [5e-324, -0.0]],
+        "marginal_p": [[1 / 3, 1e308], [-7.0, 0.0]],
+        "symmetry_residual": 0.0,
+    }
+    text = wigner_to_json(
+        WignerTable(pinned_grid(), PINNED_REP, KIND_OPERATOR), extra={"summary": summary}
+    )
+    assert text == (
+        PINNED_HEAD + '"kind":"operator","grid":' + PINNED_PAIRS
+        + ',"summary":{"mass":[1.5,-0],'
+        '"marginal_x":[[0.10000000000000001,2],[4.9406564584124654e-324,-0]],'
+        '"marginal_p":[[0.33333333333333331,1e+308],[-7,0]],"symmetry_residual":0}}'
+    )
+
+
+def test_operator_state_and_trig_bytes_are_pinned():
+    grid = pinned_grid()
+    assert operator_to_json(grid) == '{"N":2,"entries":' + PINNED_PAIRS + "}"
+    assert state_to_json(grid.ravel()) == PINNED_PAIRS
+    tp = TrigPolynomial(
+        {
+            (1, -2): complex(0.1, 1 / 3),
+            (0, 0): complex(2.0, -0.0),
+            (-3, 5): complex(1e308, 5e-324),
+        }
+    )
+    assert trig_to_json(tp) == (
+        '[{"n1":-3,"n2":5,"re":1e+308,"im":4.9406564584124654e-324},'
+        '{"n1":0,"n2":0,"re":2,"im":-0},'
+        '{"n1":1,"n2":-2,"re":0.10000000000000001,"im":0.33333333333333331}]'
+    )
+
+
+def test_lattice_csv_bytes_are_pinned():
+    assert lattice_csv(pinned_grid(), PINNED_REP) == (
+        "x,p,re,im\n"
+        "0.10000000000000001,0.69999999999999996,-0,4.9406564584124654e-324\n"
+        "0.10000000000000001,0.19999999999999996,1e+308,0.10000000000000001\n"
+        "0.59999999999999998,0.69999999999999996,0.33333333333333331,-7\n"
+        "0.59999999999999998,0.19999999999999996,2,-0\n"
+    )
+
+
+def test_dumps_writes_arrays_as_pair_lists():
+    grid = pinned_grid()
+    assert dumps(grid) == PINNED_PAIRS
+    assert dumps({"a": grid[0], "b": [grid.real[1, 0]]}) == (
+        '{"a":[[-0,4.9406564584124654e-324],[1e+308,0.10000000000000001]],'
+        '"b":[0.33333333333333331]}'
+    )
+    assert dumps(np.zeros(0)) == "[]"
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_grid_entries_are_refused(bad):
+    grid = pinned_grid()
+    grid[1, 0] = bad
+    with pytest.raises(DomainError, match="cannot serialize a non-finite number"):
+        lattice_csv(grid, PINNED_REP)
+    with pytest.raises(DomainError, match="cannot serialize a non-finite number"):
+        operator_to_json(grid)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_dumps_refuses_non_finite_array_entries(bad):
+    grid = pinned_grid()
+    grid[1, 0] = bad
+    with pytest.raises(DomainError, match="cannot serialize a non-finite number"):
+        dumps(grid)

@@ -176,10 +176,16 @@ def test_table_validation():
     rep = Representation(0.0, 0.0, 2)
     with pytest.raises(DomainError):
         WignerTable(np.zeros((4, 4)), rep, "something-else")
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^Wigner table .*must be 4 x 4"):
         WignerTable(np.zeros((3, 3)), rep, KIND_STATE_PAIR)
+    bad = np.zeros((4, 4))
+    bad[3, 0] = np.inf
+    with pytest.raises(DomainError, match="Wigner table entries must be finite"):
+        WignerTable(bad, rep, KIND_STATE_PAIR)
     table = WignerTable(np.zeros((4, 4)), rep, KIND_OPERATOR)
     assert table.kind == KIND_OPERATOR
+    with pytest.raises(ValueError):
+        table.grid[0, 0] = 1.0
 
 
 def test_symmetric_extension_requires_square_block():
