@@ -23,6 +23,9 @@ from .selftest import DEFAULT_SEED, format_result, run
 from .symbols import sample
 from .wigner import check_symmetries, marginal_p, marginal_x, wigner_state
 
+# Largest N the command line accepts; one 2N x 2N complex grid is then 268 MB.
+MAX_DIM = 2048
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
@@ -40,7 +43,12 @@ def _deliver(text: str, path) -> None:
 
 
 def _rep_from_flags(args, dim: int) -> Representation:
-    """Representation of the --theta1/--theta2 flags (0 when absent) and dim."""
+    """Representation of the --theta1/--theta2 flags (0 when absent) and dim.
+
+    A dim past MAX_DIM is refused here, before any 2N x 2N grid is allocated.
+    """
+    if dim > MAX_DIM:
+        raise DomainError(f"N={dim} exceeds the supported maximum {MAX_DIM}")
     theta1 = 0.0 if args.theta1 is None else args.theta1
     theta2 = 0.0 if args.theta2 is None else args.theta2
     return Representation(theta1, theta2, dim)
@@ -53,7 +61,8 @@ def _check_flag_consistency(args, rep: Representation) -> None:
     folded = _rep_from_flags(args, rep.dim)
     for name in ("theta1", "theta2"):
         value, stored = getattr(args, name), getattr(rep, name)
-        if value is not None and abs(getattr(folded, name) - stored) > 1e-12:
+        gap = abs(getattr(folded, name) - stored)
+        if value is not None and min(gap, 1.0 - gap) > 1e-12:
             raise DimensionError(f"--{name} {value} conflicts with the file value {stored}")
 
 

@@ -1,11 +1,16 @@
 """Acceptance battery: every shipped guarantee checked end to end.
 
-Each criterion function draws its own data from a seeded generator and
-returns (passed, detail).  The pytest suite wraps these one test per
-criterion, and the command line exposes them through `torusq selftest`.
+Each criterion draws its data from a seeded generator and returns its
+measurements as rows ``(name, value, comparison, limit)``.  The comparison
+is ``<``, ``>``, ``==`` or ``in`` (inclusive range ``(lo, hi)``), and a tuple
+value must meet it entry by entry.  One judge, `_judged`, turns the rows
+into the ``(passed, detail)`` pair of each `CRITERIA` entry: it passes when
+every row does, and the detail reads ``name value (comparison limit)`` per
+row.  pytest runs one test per criterion; `torusq selftest` runs them all.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +51,35 @@ class CriterionResult:
     detail: str
 
 
+_COMPARISONS = {
+    "<": lambda value, limit: value < limit,
+    ">": lambda value, limit: value > limit,
+    "==": lambda value, limit: value == limit,
+    "in": lambda value, limit: limit[0] <= value <= limit[1],
+}
+
+
+def _judged(criterion):
+    """Wrap a criterion's rows into (passed, detail); a NaN fails every comparison."""
+    @functools.wraps(criterion)
+    def judged(rng):
+        passed, parts = True, []
+        for name, value, comparison, limit in criterion(rng):
+            values = value if isinstance(value, tuple) else (value,)
+            passed &= all(_COMPARISONS[comparison](v, limit) for v in values)
+            shown = ", ".join(str(v) if isinstance(v, int) else f"{v:.2e}" for v in values)
+            bound = f"[{limit[0]:g}, {limit[1]:g}]" if comparison == "in" else f"{limit:g}"
+            parts.append(f"{name} {shown} ({comparison} {bound})")
+        return passed, ", ".join(parts)
+
+    return judged
+
+
+def _dev(a, b=0.0) -> float:
+    """Largest entrywise modulus of a - b."""
+    return float(np.max(np.abs(a - b)))
+
+
 def _random_rep(rng, dim: int) -> Representation:
     return Representation(float(rng.uniform()), float(rng.uniform()), dim)
 
@@ -67,36 +101,21 @@ def _random_trig(rng, terms: int, span: int) -> TrigPolynomial:
 
 
 _PAULI_TABLES = {
-    "identity": 0.5 * np.array(
-        [[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]], dtype=float
-    ),
-    "sigma_x": 0.5 * np.array(
-        [[0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0], [1, 0, -1, 0]], dtype=float
-    ),
-    "sigma_y": 0.5 * np.array(
-        [[0, 0, 0, 0], [0, 1, 0, -1], [0, 0, 0, 0], [0, -1, 0, 1]], dtype=float
-    ),
-    "sigma_z": 0.5 * np.array(
-        [[0, 1, 0, 1], [0, 0, 0, 0], [0, -1, 0, -1], [0, 0, 0, 0]], dtype=float
-    ),
+    "identity": 0.5 * np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]]),
+    "sigma_x": 0.5 * np.array([[0, 0, 0, 0], [1, 0, -1, 0], [0, 0, 0, 0], [1, 0, -1, 0]]),
+    "sigma_y": 0.5 * np.array([[0, 0, 0, 0], [0, 1, 0, -1], [0, 0, 0, 0], [0, -1, 0, 1]]),
+    "sigma_z": 0.5 * np.array([[0, 1, 0, 1], [0, 0, 0, 0], [0, -1, 0, -1], [0, 0, 0, 0]]),
 }
 
 
 def _criterion_pauli_tables(rng):
     """Wigner tables of the four Pauli operators match the exact displays."""
     rep = _random_rep(rng, 2)
-    identity, sigma_x, sigma_y, sigma_z = pauli(rep)
-    operators = {
-        "identity": identity,
-        "sigma_x": sigma_x,
-        "sigma_y": sigma_y,
-        "sigma_z": sigma_z,
-    }
-    worst = 0.0
-    for name, operator in operators.items():
-        table = wigner_operator(rep, operator).grid
-        worst = max(worst, float(np.max(np.abs(table - _PAULI_TABLES[name]))))
-    return worst < 1e-12, f"max table deviation {worst:.2e} (tol 1e-12)"
+    worst = max(
+        _dev(wigner_operator(rep, operator).grid, table)
+        for operator, table in zip(pauli(rep), _PAULI_TABLES.values(), strict=True)
+    )
+    return [("max table deviation", worst, "<", 1e-12)]
 
 
 def _criterion_generator_dictionary(rng):
@@ -108,14 +127,13 @@ def _criterion_generator_dictionary(rng):
     for _ in range(20):
         rep = _random_rep(rng, 2)
         t1, t2 = rep.theta1, rep.theta2
-        built = (
-            (sigma_z, np.exp(-1j * np.pi * t1) * heisenberg(rep, 1, 0)),
-            (sigma_x, np.exp(-1j * np.pi * t2) * heisenberg(rep, 0, 1)),
-            (sigma_y, np.exp(-1j * np.pi * (t1 + t2 + 1.0)) * heisenberg(rep, 1, 1)),
+        worst = max(
+            worst,
+            _dev(sigma_z, np.exp(-1j * np.pi * t1) * heisenberg(rep, 1, 0)),
+            _dev(sigma_x, np.exp(-1j * np.pi * t2) * heisenberg(rep, 0, 1)),
+            _dev(sigma_y, np.exp(-1j * np.pi * (t1 + t2 + 1.0)) * heisenberg(rep, 1, 1)),
         )
-        for standard, candidate in built:
-            worst = max(worst, float(np.max(np.abs(standard - candidate))))
-    return worst < 1e-12, f"max dictionary deviation {worst:.2e} over 20 draws (tol 1e-12)"
+    return [("max dictionary deviation over 20 draws", worst, "<", 1e-12)]
 
 
 def _criterion_route_equivalence(rng):
@@ -125,16 +143,14 @@ def _criterion_route_equivalence(rng):
         for _ in range(50):
             rep = _random_rep(rng, dim)
             tp = _random_trig(rng, int(rng.integers(1, 13)), 3 * dim)
-            direct = quantize_fourier(tp, rep)
-            via_grid = quantize_sampled(sample(tp, rep))
-            worst = max(worst, float(np.max(np.abs(direct - via_grid))))
-    return worst < 1e-9, f"max route deviation {worst:.2e} for N=1..8 (tol 1e-9)"
+            worst = max(worst, _dev(quantize_fourier(tp, rep), quantize_sampled(sample(tp, rep))))
+    return [("max route deviation for N=1..8", worst, "<", 1e-9)]
 
 
 def _criterion_fold_kernel(rng):
-    """The fold has rank N^2 and nullity 3N^2; its kernel is invisible to
+    """The fold has rank N^2, so nullity 3N^2; its kernel is invisible to
     quantization while unit non-kernel perturbations are not."""
-    rank_ok = True
+    wrong_ranks = 0
     worst_invariance = 0.0
     smallest_change = math.inf
     for dim in range(1, 7):
@@ -145,27 +161,23 @@ def _criterion_fold_kernel(rng):
             basis = np.zeros((side, side))
             basis.flat[column] = 1.0
             fold_matrix[:, column] = delta(SampledSymbol(basis, rep)).ravel()
-        rank = int(np.linalg.matrix_rank(fold_matrix))
-        if rank != dim * dim or (side * side - rank) != 3 * dim * dim:
-            rank_ok = False
+        wrong_ranks += int(np.linalg.matrix_rank(fold_matrix)) != dim * dim
         sym = SampledSymbol(_random_grid(rng, side), rep)
         base = quantize_sampled(sym)
         ghost = kernel_element(rep, int(rng.integers(1, 2**31)))
-        worst_invariance = max(
-            worst_invariance, float(np.max(np.abs(quantize_sampled(sym + ghost) - base)))
-        )
+        worst_invariance = max(worst_invariance, _dev(quantize_sampled(sym + ghost), base))
         while True:
             bump = _random_grid(rng, side)
-            if float(np.max(np.abs(delta(SampledSymbol(bump, rep))))) > 1e-2:
+            if _dev(delta(SampledSymbol(bump, rep))) > 1e-2:
                 break
         bump /= np.linalg.norm(bump)
         moved = quantize_sampled(sym + SampledSymbol(bump, rep))
-        smallest_change = min(smallest_change, float(np.max(np.abs(moved - base))))
-    passed = rank_ok and worst_invariance < 1e-10 and smallest_change > 1e-6
-    return passed, (
-        f"ranks {'ok' if rank_ok else 'WRONG'}, kernel invariance {worst_invariance:.2e} "
-        f"(tol 1e-10), min unit-perturbation response {smallest_change:.2e} (floor 1e-6)"
-    )
+        smallest_change = min(smallest_change, _dev(moved, base))
+    return [
+        ("dimensions with a wrong rank", wrong_ranks, "==", 0),
+        ("kernel invariance", worst_invariance, "<", 1e-10),
+        ("min unit-perturbation response", smallest_change, ">", 1e-6),
+    ]
 
 
 def _criterion_reduced_inversion(rng):
@@ -175,9 +187,8 @@ def _criterion_reduced_inversion(rng):
         rep = _random_rep(rng, dim)
         for _ in range(20):
             sym = SampledSymbol(_random_grid(rng, 2 * dim), rep)
-            rebuilt = operator_from_reduced(delta(sym))
-            worst = max(worst, float(np.max(np.abs(rebuilt - quantize_sampled(sym)))))
-    return worst < 1e-10, f"max inversion deviation {worst:.2e} for N=1..8 (tol 1e-10)"
+            worst = max(worst, _dev(operator_from_reduced(delta(sym)), quantize_sampled(sym)))
+    return [("max inversion deviation for N=1..8", worst, "<", 1e-10)]
 
 
 def _criterion_moyal_homomorphism(rng):
@@ -192,16 +203,10 @@ def _criterion_moyal_homomorphism(rng):
             op_b = quantize_sampled(b)
             worst = max(
                 worst,
-                float(np.max(np.abs(quantize_sampled(moyal_product(a, b)) - op_a @ op_b))),
-                float(
-                    np.max(
-                        np.abs(
-                            quantize_sampled(moyal_bracket(a, b)) - (op_a @ op_b - op_b @ op_a)
-                        )
-                    )
-                ),
+                _dev(quantize_sampled(moyal_product(a, b)), op_a @ op_b),
+                _dev(quantize_sampled(moyal_bracket(a, b)), op_a @ op_b - op_b @ op_a),
             )
-    return worst < 1e-9, f"max homomorphism defect {worst:.2e}, 30 pairs per N=1..6 (tol 1e-9)"
+    return [("max homomorphism defect, 30 pairs per N=1..6", worst, "<", 1e-9)]
 
 
 def _criterion_semiclassical_order(rng):
@@ -213,7 +218,6 @@ def _criterion_semiclassical_order(rng):
         for dim in (4, 8, 16)
     }
     ratios = (residuals[8] / residuals[4], residuals[16] / residuals[8])
-    ratios_ok = all(0.15 <= ratio <= 0.35 for ratio in ratios)
 
     wave_a = TrigPolynomial({(1, 0): 1.0})
     wave_b = TrigPolynomial({(0, 1): 1.0})
@@ -223,11 +227,10 @@ def _criterion_semiclassical_order(rng):
         x = math.pi / dim
         expected = 4 * math.pi**2 * abs(1.0 - math.sin(x) / x)
         closed_dev = max(closed_dev, abs(measured - expected))
-    passed = ratios_ok and closed_dev < 1e-10
-    return passed, (
-        f"refinement ratios {ratios[0]:.3f}, {ratios[1]:.3f} (range [0.15, 0.35]), "
-        f"closed-form deviation {closed_dev:.2e} (tol 1e-10)"
-    )
+    return [
+        ("refinement ratios", ratios, "in", (0.15, 0.35)),
+        ("closed-form deviation", closed_dev, "<", 1e-10),
+    ]
 
 
 def _criterion_wigner_identities(rng):
@@ -242,57 +245,40 @@ def _criterion_wigner_identities(rng):
             phi = _random_state(rng, dim)
             table = wigner_state(rep, psi, phi)
 
-            worst_mass = max(
-                worst_mass, abs(complex(table.grid.sum()) - complex(np.vdot(psi, phi)))
-            )
+            worst_mass = max(worst_mass, _dev(table.grid.sum(), np.vdot(psi, phi)))
 
             mx = marginal_x(table)
             mp = marginal_p(table)
             worst_marg = max(
                 worst_marg,
-                float(np.max(np.abs(mx[1::2]))),
-                float(np.max(np.abs(mp[1::2]))),
-                float(np.max(np.abs(mx[0::2] - np.conj(psi) * phi))),
-                float(
-                    np.max(np.abs(mp[0::2] - np.conj(np.fft.fft(psi)) * np.fft.fft(phi) / dim))
-                ),
+                _dev(mx[1::2]),
+                _dev(mp[1::2]),
+                _dev(mx[0::2], np.conj(psi) * phi),
+                _dev(mp[0::2], np.conj(np.fft.fft(psi)) * np.fft.fft(phi) / dim),
             )
 
             worst_sym = max(worst_sym, check_symmetries(table))
-            worst_real = max(
-                worst_real, float(np.max(np.abs(wigner_state(rep, psi, psi).grid.imag)))
-            )
+            worst_real = max(worst_real, _dev(wigner_state(rep, psi, psi).grid.imag))
 
             sym = SampledSymbol(_random_grid(rng, side), rep)
-            worst_pair = max(
-                worst_pair,
-                abs(pairing(sym, psi, phi) - complex(np.vdot(psi, quantize_sampled(sym) @ phi))),
-            )
+            expected = np.vdot(psi, quantize_sampled(sym) @ phi)
+            worst_pair = max(worst_pair, _dev(pairing(sym, psi, phi), expected))
 
             flipped = psi[(dim - np.arange(dim)) % dim]
             ghost_table = wigner_state(rep, flipped, phi).grid
             for k in range(side):
                 for m in range(side):
                     lhs = fourier_wigner(rep, psi, phi, k, m)
-                    rhs = (
-                        side
-                        * ghost_table[m, (-k) % side]
-                        * np.exp(2j * np.pi * (k * rep.theta1 + m * rep.theta2) / dim)
-                    )
-                    worst_fw = max(worst_fw, abs(lhs - rhs))
-    passed = (
-        worst_mass < 1e-12
-        and worst_marg < 1e-13
-        and worst_sym < 1e-12
-        and worst_real < 1e-13
-        and worst_pair < 1e-10
-        and worst_fw < 1e-11
-    )
-    return passed, (
-        f"mass {worst_mass:.2e}/1e-12, marginals {worst_marg:.2e}/1e-13, "
-        f"symmetries {worst_sym:.2e}/1e-12, reality {worst_real:.2e}/1e-13, "
-        f"pairing {worst_pair:.2e}/1e-10, fourier-wigner {worst_fw:.2e}/1e-11"
-    )
+                    phase = np.exp(2j * np.pi * (k * rep.theta1 + m * rep.theta2) / dim)
+                    worst_fw = max(worst_fw, abs(lhs - side * ghost_table[m, (-k) % side] * phase))
+    return [
+        ("mass", worst_mass, "<", 1e-12),
+        ("marginals", worst_marg, "<", 1e-13),
+        ("symmetries", worst_sym, "==", 0.0),
+        ("reality", worst_real, "<", 1e-13),
+        ("pairing", worst_pair, "<", 1e-10),
+        ("fourier-wigner", worst_fw, "<", 1e-11),
+    ]
 
 
 def _criterion_dequantize_roundtrip(rng):
@@ -304,60 +290,46 @@ def _criterion_dequantize_roundtrip(rng):
         for _ in range(50):
             operator = _random_grid(rng, dim)
             symbol = dequantize(rep, operator)
-            worst_round = max(
-                worst_round, float(np.max(np.abs(quantize_sampled(symbol) - operator)))
-            )
+            worst_round = max(worst_round, _dev(quantize_sampled(symbol), operator))
         for _ in range(10):
             sym = SampledSymbol(_random_grid(rng, 2 * dim), rep)
             refolded = delta(dequantize(rep, quantize_sampled(sym)))
-            worst_fold = max(worst_fold, float(np.max(np.abs(refolded - delta(sym)))))
-    passed = worst_round < 1e-10 and worst_fold < 1e-10
-    return passed, (
-        f"round trip {worst_round:.2e}, fold consistency {worst_fold:.2e} "
-        f"for N=1..8 (tol 1e-10)"
-    )
+            worst_fold = max(worst_fold, _dev(refolded, delta(sym)))
+    return [
+        ("round trip for N=1..8", worst_round, "<", 1e-10),
+        ("fold consistency for N=1..8", worst_fold, "<", 1e-10),
+    ]
 
 
 def _criterion_pauli_basis(rng):
     """The generalized Pauli matrices span, obey exact sign laws, and match
     their trig polynomial symbols."""
-    rank_ok = True
+    wrong_ranks = 0
     sign_dev = 0.0
     worst_symbol = 0.0
     for dim in range(1, 6):
         rep = _random_rep(rng, dim)
         side = 2 * dim
-        basis = np.array(
-            [big_pauli(rep, r, s).ravel() for r in range(dim) for s in range(dim)]
-        )
-        if int(np.linalg.matrix_rank(basis)) != dim * dim:
-            rank_ok = False
+        basis = np.array([big_pauli(rep, r, s).ravel() for r in range(dim) for s in range(dim)])
+        wrong_ranks += int(np.linalg.matrix_rank(basis)) != dim * dim
         for r in range(side):
             for s in range(side):
                 b = big_pauli(rep, r, s)
-                shift_r = big_pauli(rep, (r + dim) % side, s) - (-1.0) ** s * b
-                shift_s = big_pauli(rep, r, (s + dim) % side) - (-1.0) ** r * b
-                shift_rs = (
-                    big_pauli(rep, (r + dim) % side, (s + dim) % side)
-                    - (-1.0) ** (r + s + dim) * b
-                )
+                r_far, s_far = (r + dim) % side, (s + dim) % side
                 sign_dev = max(
                     sign_dev,
-                    float(np.max(np.abs(shift_r))),
-                    float(np.max(np.abs(shift_s))),
-                    float(np.max(np.abs(shift_rs))),
+                    _dev(big_pauli(rep, r_far, s), (-1.0) ** s * b),
+                    _dev(big_pauli(rep, r, s_far), (-1.0) ** r * b),
+                    _dev(big_pauli(rep, r_far, s_far), (-1.0) ** (r + s + dim) * b),
                 )
                 worst_symbol = max(
-                    worst_symbol,
-                    float(
-                        np.max(np.abs(quantize_fourier(big_pauli_symbol(rep, r, s), rep) - b))
-                    ),
+                    worst_symbol, _dev(quantize_fourier(big_pauli_symbol(rep, r, s), rep), b)
                 )
-    passed = rank_ok and sign_dev == 0.0 and worst_symbol < 1e-10
-    return passed, (
-        f"rank {'ok' if rank_ok else 'WRONG'}, sign-law deviation {sign_dev:.1e} "
-        f"(must be exactly 0), symbol route {worst_symbol:.2e} (tol 1e-10) for N=1..5"
-    )
+    return [
+        ("dimensions with a wrong rank", wrong_ranks, "==", 0),
+        ("sign-law deviation", sign_dev, "==", 0.0),
+        ("symbol route for N=1..5", worst_symbol, "<", 1e-10),
+    ]
 
 
 def _criterion_dynamics(rng):
@@ -371,27 +343,21 @@ def _criterion_dynamics(rng):
         system = HamiltonianSystem(sample(hamiltonian, rep))
         start = SampledSymbol(_random_grid(rng, 2 * dim), rep)
         exact = evolve_operator(system, quantize_sampled(start), 1.0)
-        fine = quantize_sampled(evolve_symbol(system, start, 1.0, 1000))
-        defect_fine = float(np.max(np.abs(fine - exact)))
+        defect_fine = _dev(quantize_sampled(evolve_symbol(system, start, 1.0, 1000)), exact)
         worst_defect = max(worst_defect, defect_fine)
         if dim >= 2:
             coarse = quantize_sampled(evolve_symbol(system, start, 1.0, 500))
-            ratios.append(float(np.max(np.abs(coarse - exact))) / defect_fine)
+            ratios.append(_dev(coarse, exact) / defect_fine)
 
         raw = _random_grid(rng, dim)
         hermitian = raw + raw.conj().T
         evolved = evolve_operator(system, hermitian, 0.37)
-        worst_eig = max(
-            worst_eig,
-            float(np.max(np.abs(np.linalg.eigvalsh(evolved) - np.linalg.eigvalsh(hermitian)))),
-        )
-    ratios_ok = all(10.0 <= ratio <= 24.0 for ratio in ratios)
-    passed = worst_defect < 1e-6 and ratios_ok and worst_eig < 1e-10
-    ratio_text = ", ".join(f"{ratio:.1f}" for ratio in ratios)
-    return passed, (
-        f"defect {worst_defect:.2e} (tol 1e-6), halving ratios {ratio_text} "
-        f"(range [10, 24]), eigenvalue drift {worst_eig:.2e} (tol 1e-10)"
-    )
+        worst_eig = max(worst_eig, _dev(np.linalg.eigvalsh(evolved), np.linalg.eigvalsh(hermitian)))
+    return [
+        ("defect", worst_defect, "<", 1e-6),
+        ("halving ratios", tuple(ratios), "in", (10.0, 24.0)),
+        ("eigenvalue drift", worst_eig, "<", 1e-10),
+    ]
 
 
 def _criterion_representation_laws(rng):
@@ -400,24 +366,26 @@ def _criterion_representation_laws(rng):
     for dim in range(1, 7):
         rep = _random_rep(rng, dim)
         tuples = [tuple(int(v) for v in row) for row in rng.integers(-10, 11, size=(200, 4))]
-        report = check_representation_laws(rep, tuples)
-        worst = max(worst, max(report.values()))
-    return worst < 1e-11, f"max law deviation {worst:.2e} over 200 tuples per N=1..6 (tol 1e-11)"
+        worst = max(worst, max(check_representation_laws(rep, tuples).values()))
+    return [("max law deviation over 200 tuples per N=1..6", worst, "<", 1e-11)]
 
 
-CRITERIA = (
-    (1, "pauli-wigner-tables", _criterion_pauli_tables),
-    (2, "generator-dictionary", _criterion_generator_dictionary),
-    (3, "quantization-route-equivalence", _criterion_route_equivalence),
-    (4, "fold-kernel-and-equivalence", _criterion_fold_kernel),
-    (5, "reduced-symbol-inversion", _criterion_reduced_inversion),
-    (6, "moyal-homomorphism", _criterion_moyal_homomorphism),
-    (7, "semiclassical-order", _criterion_semiclassical_order),
-    (8, "wigner-identities", _criterion_wigner_identities),
-    (9, "dequantize-roundtrip", _criterion_dequantize_roundtrip),
-    (10, "generalized-pauli-basis", _criterion_pauli_basis),
-    (11, "heisenberg-dynamics", _criterion_dynamics),
-    (12, "representation-laws", _criterion_representation_laws),
+CRITERIA = tuple(
+    (number, name, _judged(criterion))
+    for number, name, criterion in (
+        (1, "pauli-wigner-tables", _criterion_pauli_tables),
+        (2, "generator-dictionary", _criterion_generator_dictionary),
+        (3, "quantization-route-equivalence", _criterion_route_equivalence),
+        (4, "fold-kernel-and-equivalence", _criterion_fold_kernel),
+        (5, "reduced-symbol-inversion", _criterion_reduced_inversion),
+        (6, "moyal-homomorphism", _criterion_moyal_homomorphism),
+        (7, "semiclassical-order", _criterion_semiclassical_order),
+        (8, "wigner-identities", _criterion_wigner_identities),
+        (9, "dequantize-roundtrip", _criterion_dequantize_roundtrip),
+        (10, "generalized-pauli-basis", _criterion_pauli_basis),
+        (11, "heisenberg-dynamics", _criterion_dynamics),
+        (12, "representation-laws", _criterion_representation_laws),
+    )
 )
 
 

@@ -85,6 +85,22 @@ def test_quantize_flag_conflict(tmp_path):
     # matching flags are accepted
     proc = run_cli("quantize", str(src), "--N", "2", "--theta1", "0.25", "--theta2", "0")
     assert proc.returncode == 0
+    # angles are compared on the circle, so both sides of theta2 = 0 match
+    assert run_cli("quantize", str(src), "--theta2=1e-14").returncode == 0
+    assert run_cli("quantize", str(src), "--theta2=-1e-14").returncode == 0
+    assert run_cli("quantize", str(src), "--theta2=0.99999999999999").returncode == 0
+    assert run_cli("quantize", str(src), "--theta2=-2e-12").returncode == 3
+
+
+def test_dimension_past_the_bound_is_refused(tmp_path, capsys):
+    tp = tmp_path / "tp.json"
+    tp.write_text('[{"n1":0,"n2":0,"re":1.0,"im":0.0}]')
+    state = tmp_path / "psi.json"
+    state.write_text(json.dumps([[1.0, 0.0]] * (cli.MAX_DIM + 1)))
+    assert cli.main(["quantize", str(tp), "--N", str(cli.MAX_DIM + 1)]) == 4
+    assert cli.main(["wigner", str(state)]) == 4
+    err = capsys.readouterr().err
+    assert err.count(f"exceeds the supported maximum {cli.MAX_DIM}") == 2
 
 
 def test_quantize_route_needs_trig_input(tmp_path):
