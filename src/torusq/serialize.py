@@ -9,6 +9,7 @@ internally inconsistent sizes.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError
 from .rep import Representation
-from .symbols import SampledSymbol, TrigPolynomial, _lattice_axes
+from .symbols import SampledSymbol, TrigPolynomial
 from .wigner import KIND_OPERATOR, KIND_STATE_PAIR, WignerTable
 
 __all__ = [
@@ -149,6 +150,20 @@ def _field(obj, key: str, where: str):
 def _complex_list(values, where: str) -> np.ndarray:
     if not isinstance(values, list):
         raise FormatError(f"{where} must be an array of [re, im] pairs")
+    # One conversion when every entry is a list of two JSON numbers; anything
+    # else, numeric strings and bools included (numpy would take them), goes
+    # to the loop, which names the first bad entry.  Values at the float
+    # maximum go there too: an integer just past it rounds down to it.
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {2}:
+        flat = list(itertools.chain.from_iterable(values))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                pairs = np.array(flat, dtype=float)
+            except OverflowError:  # an integer past the float range
+                pass
+            else:
+                if np.all(np.abs(pairs) < sys.float_info.max):
+                    return pairs.view(complex)
     return np.array([_pair(v, where) for v in values], dtype=complex)
 
 
@@ -266,6 +281,7 @@ def lattice_csv(grid, rep: Representation) -> str:
     side = 2 * rep.dim
     if g.shape != (side, side):
         raise DimensionError(f"grid must be {side} x {side}, got shape {g.shape}")
-    x, p = _lattice_axes(rep)
+    x = (np.arange(side) / side + rep.theta1 / rep.dim) % 1.0
+    p = (np.arange(side) / side + rep.theta2 / rep.dim) % 1.0
     table = np.column_stack((np.repeat(x, side), np.tile(p, side), g.real.ravel(), g.imag.ravel()))
     return "x,p,re,im\n" + _format_rows("%.17g,%.17g,%.17g,%.17g\n", table)

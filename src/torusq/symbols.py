@@ -149,21 +149,20 @@ def evaluate(tp: TrigPolynomial, x: float, p: float) -> complex:
     return total
 
 
-def _lattice_axes(rep: Representation) -> tuple:
-    """Coordinates r/2N + theta1/N and s/2N + theta2/N of the lattice rows and columns, mod 1."""
-    side = 2 * rep.dim
-    x = (np.arange(side) / side + rep.theta1 / rep.dim) % 1.0
-    p = (np.arange(side) / side + rep.theta2 / rep.dim) % 1.0
-    return x, p
-
-
 def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
-    """Sample tp on the lattice of rep: grid[r, s] = tp(r/2N + theta1/N, s/2N + theta2/N)."""
-    x, p = _lattice_axes(rep)
-    grid = np.zeros((x.size, p.size), dtype=complex)
+    """Sample tp on the lattice of rep: grid[r, s] = tp(r/2N + theta1/N, s/2N + theta2/N).
+
+    One inverse FFT, O(T + N^2 log N) for T terms: exp(2 i pi n1 x_r) is
+    exp(i pi (n1 mod 2N) r/N) exp(2 i pi n1 theta1/N), likewise in p, so each
+    term times its theta phase adds into the spectrum at its frequency mod 2N.
+    That phase loses about |n| eps, hence the loader's |n| < 2**53 bound.
+    """
+    side = 2 * rep.dim
+    spectrum = np.zeros((side, side), dtype=complex)
     for (n1, n2), c in tp.items():
-        grid += c * np.exp(2j * np.pi * (n1 * x[:, None] + n2 * p[None, :]))
-    return SampledSymbol(grid, rep)
+        theta_phase = cmath.exp(2j * cmath.pi * (n1 * rep.theta1 + n2 * rep.theta2) / rep.dim)
+        spectrum[n1 % side, n2 % side] += c * theta_phase
+    return SampledSymbol(np.fft.ifft2(spectrum, norm="forward"), rep)
 
 
 def _ghost_signs(n: int, count: int) -> tuple:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,63 @@ def test_operator_errors():
         operator_from_json('{"entries":[]}')
     with pytest.raises(FormatError):
         operator_from_json('{"N":2,"entries":[[0,0],[0,0],[0,0],"x"]}')
+
+
+def test_grid_parse_matches_the_per_entry_conversion():
+    # Integers (as dumps writes 2.0), -0.0, a subnormal, values near the float
+    # maximum and an integer past int64, given directly and parsed from text
+    # (where "-0" reads back as the integer 0).
+    fmax = sys.float_info.max
+    entries = [[2, -0.0], [-0.0, 5e-324], [2**70, -7], [-fmax, 0.1], [int(fmax), 1 / 3]]
+    for values in (entries, loads(dumps(entries))):
+        expected = np.array([complex(float(re), float(im)) for re, im in values]).view(float)
+        for got in (
+            state_from_json(values),
+            operator_from_json({"N": 1, "entries": values[:1]}),
+            sampled_from_json({"theta1": 0, "theta2": 0, "N": 1, "grid": values[:4]}).grid,
+        ):
+            assert got.dtype == complex
+            got = got.ravel().view(float)
+            want = expected[: got.size]
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([True, 0.0], "state entry must be a number, got True"),
+        ([0.5, False], "state entry must be a number, got False"),
+        (["0.5", 1.0], "state entry must be a number, got '0.5'"),
+        ([1.0, None], "state entry must be a number, got None"),
+        ([float("inf"), 0.0], "state entry must be finite, got inf"),
+        ([0.0, float("nan")], "state entry must be finite, got nan"),
+        ([0, int(sys.float_info.max) + 1], "state entry must be finite, got 1797"),
+        ([10**400, 0], "state entry must be finite, got 1000"),
+        ([1.0, 2.0, 3.0], r"state entry must be an \[re, im\] pair, got \[1.0, 2.0, 3.0\]"),
+        ((1.0, 2.0), r"state entry must be an \[re, im\] pair, got \(1.0, 2.0\)"),
+        (0.5, r"state entry must be an \[re, im\] pair, got 0.5"),
+    ],
+)
+def test_grid_parse_names_the_first_bad_entry(bad, message):
+    good = [[0.25, -1], [3, 0.0]]
+    with pytest.raises(FormatError, match=message):
+        state_from_json(good + [bad] + good)
+    # A later bad entry is not reached.
+    with pytest.raises(FormatError, match=message):
+        state_from_json(good + [bad, "later"])
+    with pytest.raises(FormatError, match="state entry must be a number, got '1'"):
+        state_from_json(good + [["1", True], bad])
+
+
+def test_grid_parse_refuses_text_that_numpy_would_convert():
+    obj = loads(sampled_to_json(SampledSymbol(np.zeros((2, 2)), Representation(0, 0, 1))))
+    obj["grid"][2] = ["1e3", "2"]
+    with pytest.raises(FormatError, match="grid entry must be a number, got '1e3'"):
+        sampled_from_json(obj)
+    with pytest.raises(FormatError, match="grid entry must be finite, got inf"):
+        sampled_from_json(dumps(obj).replace('"1e3"', "1e400"))
+    with pytest.raises(FormatError, match="operator entry must be a number, got True"):
+        operator_from_json('{"N":1,"entries":[[true,0]]}')
 
 
 def test_wigner_round_trip_and_kind_check():

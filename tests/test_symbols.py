@@ -83,6 +83,69 @@ def test_sample_matches_pointwise_evaluation():
             assert abs(grid[r, s] - evaluate(tp, x, p)) < 1e-12
 
 
+def lattice_oracle(tp, rep):
+    """Literal evaluation of tp at every lattice point."""
+    side = 2 * rep.dim
+    return np.array(
+        [
+            [
+                evaluate(tp, r / side + rep.theta1 / rep.dim, s / side + rep.theta2 / rep.dim)
+                for s in range(side)
+            ]
+            for r in range(side)
+        ]
+    )
+
+
+ORACLE_THETAS = [(0.0, 0.0), (0.21, 0.84), (0.5, 0.5), (0.999, 0.013)]
+
+
+@pytest.mark.parametrize("theta", ORACLE_THETAS)
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sample_matches_literal_oracle(dim, theta):
+    side = 2 * dim
+    rep = Representation(*theta, dim)
+    # (1, 0) aliases with (1 + 2N, 0) and (1 - 4N, 0); (-3, 2) with (-3 + 2N, 2 - 2N).
+    tp = TrigPolynomial(
+        {
+            (1, 0): 0.5,
+            (1 + side, 0): -0.25j,
+            (1 - 2 * side, 0): 0.125,
+            (-3, 2): 1.5,
+            (-3 + side, 2 - side): 0.75 - 0.5j,
+            (0, 0): -1.0,
+            (side, -side): 0.3,
+            (-1, -1): 2j,
+            (-7, 11): -0.6 + 0.2j,
+        }
+    )
+    grid = sample(tp, rep).grid
+    assert np.max(np.abs(grid - lattice_oracle(tp, rep))) < 1e-12
+
+
+@pytest.mark.parametrize("theta2", [0.0, 0.37])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sample_aliased_terms_cancel_exactly(dim, theta2):
+    # At theta1 = 0 both terms carry the same theta phase and land in one bin.
+    rep = Representation(0.0, theta2, dim)
+    tp = TrigPolynomial({(1, 3): 0.7 - 0.2j, (1 + 2 * dim, 3): -0.7 + 0.2j})
+    assert np.all(sample(tp, rep).grid == 0)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_sample_of_the_empty_polynomial_is_the_zero_grid(dim):
+    grid = sample(TrigPolynomial(), Representation(0.3, 0.8, dim)).grid
+    assert grid.shape == (2 * dim, 2 * dim)
+    assert np.all(grid == 0)
+
+
+def test_sample_takes_a_frequency_past_int64():
+    rep = Representation(0.25, 0.5, 3)
+    grid = sample(TrigPolynomial({(2**64 + 1, -(2**70)): 1.0}), rep).grid
+    # One term sampled anywhere has modulus one; its phase is |n| eps noise.
+    assert np.max(np.abs(np.abs(grid) - 1.0)) < 1e-12
+
+
 def test_sample_constant():
     rep = Representation(0.4, 0.6, 2)
     grid = sample(TrigPolynomial({(0, 0): 3.5}), rep).grid
