@@ -1,11 +1,12 @@
 """Deterministic JSON and CSV interchange for the package's value types.
 
 Numbers are emitted with 17 significant digits, which round-trips every
-double exactly, and field order is fixed, so identical inputs always
-produce byte-identical output.  A numpy array is written as the flat list
-of [re, im] pairs of its entries in row-major order.  Loaders validate the
-schema and raise FormatError for malformed documents, DimensionError for
-internally inconsistent sizes.
+double exactly but the sign of a zero (-0.0 is written -0, which JSON reads
+as the integer 0, so it comes back as +0.0), and field order is fixed, so
+identical inputs always produce byte-identical output.  A numpy array is
+written as the flat list of [re, im] pairs of its entries in row-major
+order.  Loaders validate the schema and raise FormatError for malformed
+documents, DimensionError for internally inconsistent sizes.
 """
 from __future__ import annotations
 

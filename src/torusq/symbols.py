@@ -4,7 +4,8 @@ A trigonometric polynomial is a finite Fourier sum on the torus.  Sampling
 it on the 2N x 2N lattice attached to a representation produces a
 SampledSymbol; the fold operator delta compresses such a grid to the N x N
 reduced symbol that determines the quantized operator.  Two grids quantize
-to the same operator exactly when their reduced symbols agree.
+to the same operator exactly when their reduced symbols agree.  The fold and
+its adjoint symmetric_extension share the signs of the S1 to S3 ghost blocks.
 """
 from __future__ import annotations
 
@@ -165,9 +166,9 @@ def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
     return SampledSymbol(np.fft.ifft2(spectrum, norm="forward"), rep)
 
 
-def _ghost_signs(n: int, count: int) -> tuple:
-    """Signs (-1)^k, (-1)^j, (-1)^(j+k+n) of the S1, S2, S3 ghost copies, for j, k < count."""
-    s = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+def _ghost_signs(n: int) -> tuple:
+    """Signs (-1)^k, (-1)^j, (-1)^(j+k+n) of the S1, S2, S3 ghost copies, for j, k < n."""
+    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return s[None, :], s[:, None], (1.0 if n % 2 == 0 else -1.0) * s[:, None] * s[None, :]
 
 
@@ -177,8 +178,17 @@ def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
     Kept as a single expression with a fixed association so kernel_element
     can cancel it bit for bit.
     """
-    s1, s2, s3 = _ghost_signs(n, n)
+    s1, s2, s3 = _ghost_signs(n)
     return s1 * grid[n:, :n] + s2 * grid[:n, n:] + s3 * grid[n:, n:]
+
+
+def symmetric_extension(block: np.ndarray) -> np.ndarray:
+    """Extend an N x N principal block to the 2N x 2N grid via S1 to S3 (delta's adjoint)."""
+    b = np.asarray(block, dtype=complex)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise DimensionError(f"principal block must be square, got shape {b.shape}")
+    s1, s2, s3 = _ghost_signs(b.shape[0])
+    return np.block([[b, s2 * b], [s1 * b, s3 * b]])
 
 
 def delta(sym: SampledSymbol) -> np.ndarray:
@@ -192,18 +202,16 @@ def delta(sym: SampledSymbol) -> np.ndarray:
     return sym.grid[:n, :n] + _fold_tail(sym.grid, n)
 
 
-def equivalent(a: SampledSymbol, b: SampledSymbol, tol: float | None = None) -> bool:
-    """Whether a and b quantize to the same operator, i.e. their folds agree.
+def equivalent(a: SampledSymbol, b: SampledSymbol) -> bool:
+    """Whether a and b quantize to the same operator, i.e. their folds agree
+    to within 1e-10 of the largest grid magnitude.
 
-    The default tolerance is 1e-10 relative to the largest grid magnitude.
     Raises DimensionError when the two symbols carry different representations.
     """
     if a.rep != b.rep:
         raise DimensionError("cannot compare symbols from incompatible representations")
-    if tol is None:
-        scale = max(float(np.max(np.abs(a.grid))), float(np.max(np.abs(b.grid))))
-        tol = 1e-10 * scale
-    return float(np.max(np.abs(delta(a) - delta(b)))) <= tol
+    scale = max(float(np.max(np.abs(a.grid))), float(np.max(np.abs(b.grid))))
+    return float(np.max(np.abs(delta(a) - delta(b)))) <= 1e-10 * scale
 
 
 def kernel_element(rep: Representation, seed: int) -> SampledSymbol:

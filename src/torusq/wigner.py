@@ -8,10 +8,11 @@ three symmetries
     S2:  W(m, l + N) = (-1)^m W(m, l)
     S3:  W(m + N, l + N) = (-1)^(m + l + N) W(m, l)
 
-propagate it to the rest of the grid (the ghost copies).  Every table here
-is built by computing the principal block with one FFT per row and filling
-the ghost copies with symmetric_extension, so S1 to S3 hold bit for bit by
-construction.
+propagate it to the rest of the grid (the ghost copies).  Every table comes
+from one kernel on an N x N operator, a state pair (psi, phi) through the
+rank-one operator phi psi^*: one FFT per row gives the principal block, and
+symmetric_extension, whose signs live in symbols beside the fold, fills the
+ghost copies, so S1 to S3 hold bit for bit by construction.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .rep import Representation, heisenberg
-from .symbols import SampledSymbol, _frozen_grid, _ghost_signs
+from .symbols import SampledSymbol, _frozen_grid, symmetric_extension
 
 __all__ = [
     "KIND_STATE_PAIR",
@@ -62,13 +63,14 @@ def _check_state(rep: Representation, psi: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
-def _core(coeff: np.ndarray, n: int) -> np.ndarray:
-    # coeff[r, l] for r, l in Z_N.  On the principal block the sum
-    # (1/2N) sum_l coeff[r, l] exp(-i pi (2l - r) s / N) is a row FFT times
-    # exp(i pi r s / N); the ghost blocks follow from S1 to S3.
-    rs = np.arange(n)[:, None] * np.arange(n)[None, :]
-    twist = np.exp(1j * np.pi * (rs % (2 * n)) / n)
-    return symmetric_extension(twist * np.fft.fft(coeff, axis=1) / (2 * n))
+def _core(a: np.ndarray) -> np.ndarray:
+    # Principal block: (1/2N) sum_l A[l, r - l] exp(-i pi (2l - r) s / N) is the row
+    # FFT of A[l, r - l] times exp(i pi r s / N); S1 to S3 give the ghost blocks.
+    n = len(a)
+    r = np.arange(n)[:, None]
+    l = np.arange(n)[None, :]
+    twist = np.exp(1j * np.pi * ((r * l) % (2 * n)) / n)
+    return symmetric_extension(twist * np.fft.fft(a[l, (r - l) % n], axis=1) / (2 * n))
 
 
 def fourier_wigner(rep: Representation, psi, phi, n1: int, n2: int) -> complex:
@@ -82,15 +84,11 @@ def wigner_state(rep: Representation, psi, phi) -> WignerTable:
     """Wigner table of a state pair.
 
     W(r, s) = (1/2N) sum_{l in Z_N} conj(psi[r - l]) phi[l] exp(-i pi (2l - r) s / N),
-    state indices mod N.
+    state indices mod N: the table of the rank-one operator phi psi^*.
     """
     psi = _check_state(rep, psi, "psi")
     phi = _check_state(rep, phi, "phi")
-    n = rep.dim
-    r = np.arange(n)[:, None]
-    l = np.arange(n)[None, :]
-    coeff = np.conj(psi[(r - l) % n]) * phi[l]
-    return WignerTable(_core(coeff, n), rep, KIND_STATE_PAIR)
+    return WignerTable(_core(np.conj(psi) * phi[:, None]), rep, KIND_STATE_PAIR)
 
 
 def wigner_operator(rep: Representation, operator) -> WignerTable:
@@ -103,11 +101,7 @@ def wigner_operator(rep: Representation, operator) -> WignerTable:
         raise DimensionError(
             f"operator must be {rep.dim} x {rep.dim}, got shape {a.shape}"
         )
-    n = rep.dim
-    r = np.arange(n)[:, None]
-    l = np.arange(n)[None, :]
-    coeff = a[l, (r - l) % n]
-    return WignerTable(_core(coeff, n), rep, KIND_OPERATOR)
+    return WignerTable(_core(a), rep, KIND_OPERATOR)
 
 
 def marginal_x(table: WignerTable) -> np.ndarray:
@@ -132,21 +126,7 @@ def pairing(sym: SampledSymbol, psi, phi) -> complex:
 
 
 def check_symmetries(table: WignerTable) -> float:
-    """Largest elementwise residual of the S1, S2, S3 symmetries."""
-    g = table.grid
+    """Largest |grid - symmetric_extension(grid[:N, :N])|, the ghost blocks' distance
+    from the S1 to S3 copies of the principal block: 0.0 exactly when they hold."""
     n = table.rep.dim
-    s1, s2, s3 = _ghost_signs(n, 2 * n)
-    r1 = np.roll(g, -n, axis=0) - s1 * g
-    r2 = np.roll(g, -n, axis=1) - s2 * g
-    r3 = np.roll(np.roll(g, -n, axis=0), -n, axis=1) - s3 * g
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(r3))))
-
-
-def symmetric_extension(block: np.ndarray) -> np.ndarray:
-    """Extend an N x N principal block to the full 2N x 2N grid via S1 to S3."""
-    b = np.asarray(block, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DimensionError(f"principal block must be square, got shape {b.shape}")
-    n = b.shape[0]
-    s1, s2, s3 = _ghost_signs(n, n)
-    return np.block([[b, s2 * b], [s1 * b, s3 * b]])
+    return float(np.max(np.abs(table.grid - symmetric_extension(table.grid[:n, :n]))))

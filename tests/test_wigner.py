@@ -99,13 +99,68 @@ def test_operator_table_matches_literal_sum(dim):
 
 def test_symmetries_exact_and_extension_roundtrip():
     rng = np.random.default_rng(23)
-    for dim in (1, 2, 4):
+    for dim in range(1, 7):
         rep = Representation(rng.uniform(), rng.uniform(), dim)
         psi, phi = _random_pair(rng, dim)
-        table = wigner_state(rep, psi, phi)
-        assert check_symmetries(table) == 0.0
-        rebuilt = symmetric_extension(table.grid[: dim, : dim])
-        assert np.array_equal(rebuilt, table.grid)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for table in (wigner_state(rep, psi, phi), wigner_operator(rep, a)):
+            assert check_symmetries(table) == 0.0
+            rebuilt = symmetric_extension(table.grid[: dim, : dim])
+            assert np.array_equal(rebuilt, table.grid)
+
+
+def _literal_symmetry_residual(grid, dim):
+    """Largest |W(ghost) - sign W(m, l)| over every ghost entry of S1, S2, S3.
+
+    The differences are taken one entry at a time; their magnitudes go through
+    the array np.abs, whose last bit can differ from the scalar abs.
+    """
+    diffs = []
+    for m in range(dim):
+        for l in range(dim):
+            for gm, gl, sign in (
+                (m + dim, l, (-1.0) ** l),
+                (m, l + dim, (-1.0) ** m),
+                (m + dim, l + dim, (-1.0) ** (m + l + dim)),
+            ):
+                diffs.append(grid[gm, gl] - sign * grid[m, l])
+    return float(np.max(np.abs(np.array(diffs))))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_symmetry_residual_matches_literal_loop(dim):
+    rng = np.random.default_rng(50 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    side = 2 * dim
+    for kind in (KIND_STATE_PAIR, KIND_OPERATOR):
+        grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        residual = check_symmetries(WignerTable(grid, rep, kind))
+        assert residual > 0.0
+        assert residual == _literal_symmetry_residual(grid, dim)
+    psi, phi = _random_pair(rng, dim)
+    grid = np.array(wigner_state(rep, psi, phi).grid)
+    grid[dim:, :] += 1e-3 * rng.standard_normal((dim, side))
+    residual = check_symmetries(WignerTable(grid, rep, KIND_STATE_PAIR))
+    assert residual == _literal_symmetry_residual(grid, dim)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_symmetry_residual_is_the_ghost_perturbation(dim):
+    # Integer entries and a dyadic perturbation keep every difference exact.
+    rng = np.random.default_rng(60 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    block = rng.integers(-8, 8, (dim, dim)) + 1j * rng.integers(-8, 8, (dim, dim))
+    symmetric = symmetric_extension(block)
+    assert check_symmetries(WignerTable(symmetric, rep, KIND_OPERATOR)) == 0.0
+    bump = 0.375 - 0.5j
+    for rows, cols in ((slice(dim, None), slice(None, dim)),
+                       (slice(None, dim), slice(dim, None)),
+                       (slice(dim, None), slice(dim, None))):
+        for j in range(dim):
+            for k in range(dim):
+                grid = symmetric.copy()
+                grid[rows, cols][j, k] += bump
+                assert check_symmetries(WignerTable(grid, rep, KIND_OPERATOR)) == abs(bump)
 
 
 def test_reality_for_diagonal_pair():
