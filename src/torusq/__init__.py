@@ -7,105 +7,21 @@ and sampled lattice grids; quantization, dequantization, the Moyal
 product and bracket, discrete Wigner tables and Heisenberg dynamics
 all operate on these.
 """
-from .dequantize import (
-    big_pauli,
-    big_pauli_symbol,
-    canonical_class,
-    dequantize,
-    pauli,
-    pauli_symbols,
-)
-from .errors import DimensionError, DomainError, FormatError
-from .moyal import (
-    HamiltonianSystem,
-    evolve_operator,
-    evolve_symbol,
-    moyal_bracket,
-    moyal_product,
-    poisson_bracket,
-    semiclassical_residual,
-)
-from .quantize import (
-    adjoint_symbol,
-    operator_from_reduced,
-    quantize_fourier,
-    quantize_sampled,
-)
-from .rep import (
-    Representation,
-    check_representation_laws,
-    generator_t1,
-    generator_t2,
-    heisenberg,
-)
-from .symbols import (
-    SampledSymbol,
-    TrigPolynomial,
-    delta,
-    equivalent,
-    evaluate,
-    kernel_element,
-    sample,
-)
-from .wigner import (
-    KIND_OPERATOR,
-    KIND_STATE_PAIR,
-    WignerTable,
-    check_symmetries,
-    fourier_wigner,
-    marginal_p,
-    marginal_x,
-    pairing,
-    symmetric_extension,
-    wigner_operator,
-    wigner_state,
-)
+# The modules are bound first: the star-imports then rebind the name
+# dequantize to the function of that name, which shadows its module.
+from . import dequantize as _dequantize, errors, moyal, quantize, rep, symbols, wigner
+from .dequantize import *
+from .errors import *
+from .moyal import *
+from .quantize import *
+from .rep import *
+from .symbols import *
+from .wigner import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DimensionError",
-    "DomainError",
-    "FormatError",
-    "Representation",
-    "heisenberg",
-    "generator_t1",
-    "generator_t2",
-    "check_representation_laws",
-    "TrigPolynomial",
-    "SampledSymbol",
-    "evaluate",
-    "sample",
-    "delta",
-    "equivalent",
-    "kernel_element",
-    "quantize_fourier",
-    "quantize_sampled",
-    "adjoint_symbol",
-    "operator_from_reduced",
-    "WignerTable",
-    "KIND_STATE_PAIR",
-    "KIND_OPERATOR",
-    "fourier_wigner",
-    "wigner_state",
-    "wigner_operator",
-    "marginal_x",
-    "marginal_p",
-    "pairing",
-    "check_symmetries",
-    "symmetric_extension",
-    "dequantize",
-    "canonical_class",
-    "pauli",
-    "pauli_symbols",
-    "big_pauli",
-    "big_pauli_symbol",
-    "HamiltonianSystem",
-    "moyal_product",
-    "moyal_bracket",
-    "poisson_bracket",
-    "semiclassical_residual",
-    "evolve_operator",
-    "evolve_symbol",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, rep, symbols, quantize, wigner, _dequantize, moyal)
+    for name in module.__all__
 ]

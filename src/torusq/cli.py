@@ -9,6 +9,7 @@ input or command line, 3 inconsistent dimensions, 4 out-of-domain data.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -67,10 +68,8 @@ def _check_flag_consistency(args, rep: Representation) -> None:
 
 
 def _sibling(path: str) -> str:
-    root, dot, suffix = path.rpartition(".")
-    if dot:
-        return f"{root}.sampled.{suffix}"
-    return path + ".sampled"
+    root, suffix = os.path.splitext(path)
+    return f"{root}.sampled{suffix}"
 
 
 def _cmd_quantize(args) -> int:
@@ -153,7 +152,7 @@ def _cmd_evolve(args) -> int:
         energy = sample(serialize.trig_from_json(doc), start.rep)
     else:
         energy = serialize.sampled_from_json(doc)
-    system = HamiltonianSystem(energy, start.rep)
+    system = HamiltonianSystem(energy)
     evolved = evolve_symbol(system, start, args.t, args.steps)
     exact = evolve_operator(system, quantize_sampled(start), args.t)
     defect = float(np.max(np.abs(quantize_sampled(evolved) - exact)))
@@ -185,12 +184,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Weyl quantization, Wigner tables and Moyal dynamics on the torus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags every file subcommand shares; selftest reads no file.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
+    angle = "boundary angle: a symbol file's value, which a flag must match, else the flag or 0"
+    shared.add_argument("--theta1", type=float, default=None, help=f"first {angle}")
+    shared.add_argument("--theta2", type=float, default=None, help=f"second {angle}")
 
-    q = sub.add_parser("quantize", help="turn a symbol file into an N x N operator")
+    def command(name: str, handler, text: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, parents=[shared], help=text)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    q = command("quantize", _cmd_quantize, "turn a symbol file into an N x N operator")
     q.add_argument("symbol", help="JSON file: trig polynomial array or sampled symbol object")
-    q.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-    q.add_argument("--theta1", type=float, default=None, help="first boundary angle")
-    q.add_argument("--theta2", type=float, default=None, help="second boundary angle")
     q.add_argument("--N", type=int, default=None, help="Hilbert space dimension (trig input)")
     q.add_argument(
         "--route",
@@ -198,34 +205,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="quantization route; 'both' writes the two results and reports their gap",
     )
-    q.set_defaults(handler=_cmd_quantize)
 
-    d = sub.add_parser("dequantize", help="canonical sampled symbol of an operator")
+    d = command("dequantize", _cmd_dequantize, "canonical sampled symbol of an operator")
     d.add_argument("operator", help="JSON operator file")
-    d.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-    d.add_argument("--theta1", type=float, default=None, help="first boundary angle")
-    d.add_argument("--theta2", type=float, default=None, help="second boundary angle")
     d.add_argument("--csv", action="store_true", help="emit a lattice CSV instead of JSON")
-    d.set_defaults(handler=_cmd_dequantize)
 
-    w = sub.add_parser("wigner", help="Wigner table of one state or a state pair")
+    w = command("wigner", _cmd_wigner, "Wigner table of one state or a state pair")
     w.add_argument("state", help="JSON state file, an array of [re, im] pairs")
     w.add_argument("state2", nargs="?", default=None, help="optional second state file")
-    w.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-    w.add_argument("--theta1", type=float, default=None, help="first boundary angle")
-    w.add_argument("--theta2", type=float, default=None, help="second boundary angle")
     w.add_argument("--csv", action="store_true", help="emit a lattice CSV instead of JSON")
-    w.set_defaults(handler=_cmd_wigner)
 
-    e = sub.add_parser("evolve", help="integrate the Heisenberg flow on the symbol side")
+    e = command("evolve", _cmd_evolve, "integrate the Heisenberg flow on the symbol side")
     e.add_argument("hamiltonian", help="JSON Hamiltonian: trig polynomial or sampled symbol")
     e.add_argument("symbol", help="JSON sampled symbol to evolve")
-    e.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
     e.add_argument("--t", type=float, required=True, help="evolution time")
     e.add_argument("--steps", type=int, default=1000, help="RK4 step count (default 1000)")
-    e.add_argument("--theta1", type=float, default=None, help="must match the symbol file")
-    e.add_argument("--theta2", type=float, default=None, help="must match the symbol file")
-    e.set_defaults(handler=_cmd_evolve)
 
     s = sub.add_parser("selftest", help="run the acceptance battery")
     s.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base random seed")

@@ -59,7 +59,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import DimensionError, DomainError
 from .quantize import quantize_sampled
 from .rep import Representation
-from .symbols import SampledSymbol, TrigPolynomial, sample
+from .symbols import SampledSymbol, TrigPolynomial, _same_rep, sample
 
 __all__ = [
     "HamiltonianSystem",
@@ -94,23 +94,18 @@ def _bracket_grids(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return _from_correlation(_correlation(a, b, n) - _correlation(b, a, n))
 
 
-def _require_same_rep(a: SampledSymbol, b: SampledSymbol):
-    if a.rep != b.rep:
-        raise DimensionError("Moyal operations need both symbols in the same representation")
-
-
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Noncommutative product a # b; quantizes to the operator product."""
-    _require_same_rep(a, b)
-    return SampledSymbol(_from_correlation(_correlation(a.grid, b.grid, a.rep.dim)), a.rep)
+    rep = _same_rep(a, b)
+    return SampledSymbol(_from_correlation(_correlation(a.grid, b.grid, rep.dim)), rep)
 
 
 def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Moyal bracket {a, b} = a # b - b # a, the four-fold sum with the sine
     kernel (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); quantizes to the
     commutator."""
-    _require_same_rep(a, b)
-    return SampledSymbol(_bracket_grids(a.grid, b.grid, a.rep.dim), a.rep)
+    rep = _same_rep(a, b)
+    return SampledSymbol(_bracket_grids(a.grid, b.grid, rep.dim), rep)
 
 
 def poisson_bracket(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
@@ -146,21 +141,20 @@ class HamiltonianSystem:
     """A real Hamiltonian grid on the lattice of a representation.
 
     The grid must be real up to 1e-12 relative to its magnitude, which makes
-    the quantized Hamiltonian Hermitian.
+    the quantized Hamiltonian Hermitian.  The representation is the grid's.
     """
 
     hamiltonian: SampledSymbol
-    rep: Representation = None
 
     def __post_init__(self):
-        if self.rep is None:
-            object.__setattr__(self, "rep", self.hamiltonian.rep)
-        elif self.rep != self.hamiltonian.rep:
-            raise DimensionError("system representation differs from the Hamiltonian grid's")
         grid = self.hamiltonian.grid
         scale = max(1.0, float(np.max(np.abs(grid))))
         if float(np.max(np.abs(grid.imag))) > 1e-12 * scale:
             raise DomainError("Hamiltonian grid must be real")
+
+    @property
+    def rep(self) -> Representation:
+        return self.hamiltonian.rep
 
     def operator(self) -> np.ndarray:
         """Quantized Hamiltonian (Hermitian)."""
@@ -267,12 +261,11 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     steps through its twisted convolution, any other through the FFT
     bracket (see the module notes).
     """
-    if system.rep != start.rep:
-        raise DimensionError("starting symbol lives in a different representation")
+    rep = _same_rep(system, start)
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise DomainError(f"steps must be a positive integer, got {steps!r}")
     _require_real_time(t)
-    n = system.rep.dim
+    n = rep.dim
     energy = system.hamiltonian.grid
     generator = _twisted_generator(energy, n)
     if generator is None:
@@ -289,4 +282,4 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
             f"the evolved symbol is not finite at t={t!r} with steps={steps}: "
             "the RK4 step t/steps is too large"
         )
-    return SampledSymbol(grid, system.rep)
+    return SampledSymbol(grid, rep)

@@ -32,7 +32,8 @@ class TrigPolynomial:
     """Finite Fourier sum  sum_n c[n] exp(2 i pi (n1 x + n2 p))  on the torus.
 
     Coefficients are stored in a frequency -> amplitude map; exact zeros are
-    dropped so the support is always finite and minimal.
+    dropped so the support is always finite and minimal.  A frequency that is
+    not a pair of Python or numpy integers (bools included) raises DomainError.
     """
 
     __slots__ = ("_coeffs",)
@@ -41,6 +42,8 @@ class TrigPolynomial:
         data = {}
         for key, value in dict(coeffs).items():
             k1, k2 = key
+            if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in key):
+                raise DomainError(f"frequency {key!r} must be a pair of integers")
             c = complex(value)
             if c != 0:
                 data[(int(k1), int(k2))] = c
@@ -101,6 +104,16 @@ def _frozen_grid(grid, rep: Representation, name: str) -> np.ndarray:
     return g
 
 
+def _same_rep(a, b) -> Representation:
+    """The representation that a and b (symbols or systems) share.
+
+    Raises DimensionError when they differ.
+    """
+    if a.rep != b.rep:
+        raise DimensionError(f"symbols live in different representations: {a.rep} and {b.rep}")
+    return a.rep
+
+
 @dataclass(frozen=True, eq=False)
 class SampledSymbol:
     """Values of a symbol on the 2N x 2N lattice of a representation.
@@ -116,21 +129,17 @@ class SampledSymbol:
     def __post_init__(self):
         object.__setattr__(self, "grid", _frozen_grid(self.grid, self.rep, "sampled symbol"))
 
-    def _require_same_rep(self, other):
-        if self.rep != other.rep:
-            raise DimensionError("sampled symbols live in different representations")
-
     def __add__(self, other):
         if not isinstance(other, SampledSymbol):
             return NotImplemented
-        self._require_same_rep(other)
-        return SampledSymbol(self.grid + other.grid, self.rep)
+        rep = _same_rep(self, other)
+        return SampledSymbol(self.grid + other.grid, rep)
 
     def __sub__(self, other):
         if not isinstance(other, SampledSymbol):
             return NotImplemented
-        self._require_same_rep(other)
-        return SampledSymbol(self.grid - other.grid, self.rep)
+        rep = _same_rep(self, other)
+        return SampledSymbol(self.grid - other.grid, rep)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float, complex)):
@@ -208,8 +217,7 @@ def equivalent(a: SampledSymbol, b: SampledSymbol) -> bool:
 
     Raises DimensionError when the two symbols carry different representations.
     """
-    if a.rep != b.rep:
-        raise DimensionError("cannot compare symbols from incompatible representations")
+    _same_rep(a, b)
     scale = max(float(np.max(np.abs(a.grid))), float(np.max(np.abs(b.grid))))
     return float(np.max(np.abs(delta(a) - delta(b)))) <= 1e-10 * scale
 

@@ -17,6 +17,7 @@ from torusq import (
     TrigPolynomial,
     dequantize,
     pauli_symbols,
+    sample,
     wigner_state,
 )
 from torusq import cli, serialize
@@ -66,6 +67,20 @@ def test_quantize_both_routes(tmp_path):
     sampled = serialize.operator_from_json((tmp_path / "op.sampled.json").read_text())
     assert np.max(np.abs(direct - SZ)) < 1e-12
     assert np.max(np.abs(sampled - SZ)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "output, sibling", [("./op", "./op.sampled"), ("run.v2/op", "run.v2/op.sampled")]
+)
+def test_quantize_both_routes_with_a_dot_in_the_directory(tmp_path, monkeypatch, output, sibling):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    zsym = pauli_symbols(Representation(0.0, 0.0, 2))[3]
+    (tmp_path / "tp.json").write_text(serialize.trig_to_json(zsym))
+    assert cli.main(["quantize", "tp.json", "--N", "2", "--route", "both", "-o", output]) == 0
+    for path in (output, sibling):
+        built = serialize.operator_from_json((tmp_path / path).read_text())
+        assert np.max(np.abs(built - SZ)) < 1e-12
 
 
 def test_quantize_trig_needs_dimension(tmp_path):
@@ -224,6 +239,17 @@ def test_evolve_rejects_complex_hamiltonian(tmp_path):
     assert run_cli("evolve", str(ham), str(start), "--t", "0.1").returncode == 4
 
 
+@pytest.mark.parametrize("label", [(0.5, 0.0, 2), (0.0, 0.25, 2), (0.0, 0.0, 3)])
+def test_evolve_refuses_a_sampled_hamiltonian_from_another_representation(tmp_path, capsys, label):
+    ham = tmp_path / "h.json"
+    energy = TrigPolynomial({(1, 0): 0.5, (-1, 0): 0.5})
+    ham.write_text(serialize.sampled_to_json(sample(energy, Representation(*label))))
+    start = tmp_path / "start.json"
+    start.write_text(serialize.sampled_to_json(dequantize(Representation(0.0, 0.0, 2), SX)))
+    assert cli.main(["evolve", str(ham), str(start), "--t", "0.1", "--steps", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_evolve_step_count_validated(tmp_path):
     rep = Representation(0.0, 0.0, 2)
     ham = tmp_path / "h.json"
@@ -305,6 +331,16 @@ def test_help_exits_0():
     proc = run_cli("--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("command", ["quantize", "dequantize", "wigner", "evolve"])
+def test_subcommands_share_the_output_and_angle_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = capsys.readouterr().out
+    for flag in ("-o OUTPUT, --output OUTPUT", "--theta1 THETA1", "--theta2 THETA2"):
+        assert flag in listed
 
 
 # The two frequencies alias at N = 1, so the Fourier route overflows to inf.

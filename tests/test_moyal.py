@@ -8,6 +8,8 @@ from torusq import (
     Representation,
     SampledSymbol,
     TrigPolynomial,
+    equivalent,
+    evolve_symbol,
     moyal_bracket,
     moyal_product,
     poisson_bracket,
@@ -192,15 +194,26 @@ def test_bilinearity():
     assert np.max(np.abs(combo - split)) < 1e-12
 
 
+# Every operation on two symbols; each refuses a representation mismatch.
+PAIRWISE = (
+    moyal_product,
+    moyal_bracket,
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    equivalent,
+    lambda a, b: evolve_symbol(HamiltonianSystem(SampledSymbol(a.grid.real, a.rep)), b, 0.1, 2),
+)
+
+
 def test_rep_mismatch_rejected():
     rng = np.random.default_rng(14)
     a = random_symbol(rng, Representation(0.1, 0.2, 2))
-    b = random_symbol(rng, Representation(0.1, 0.2, 3))
-    c = random_symbol(rng, Representation(0.3, 0.2, 2))
-    with pytest.raises(DimensionError):
-        moyal_product(a, b)
-    with pytest.raises(DimensionError):
-        moyal_bracket(a, c)
+    for operation in PAIRWISE:
+        for other in (Representation(0.1, 0.2, 3), Representation(0.3, 0.2, 2)):
+            with pytest.raises(DimensionError, match="different representations"):
+                operation(a, random_symbol(rng, other))
+        # The same operation accepts a pair in one representation.
+        operation(a, random_symbol(rng, a.rep))
 
 
 def test_poisson_bracket_plane_waves():
@@ -235,6 +248,9 @@ def test_hamiltonian_system_validation():
     grid[1, 2] = 1.0 + 0.5j
     with pytest.raises(DomainError):
         HamiltonianSystem(SampledSymbol(grid, rep))
-    other = Representation(0.5, 0.0, 2)
-    with pytest.raises(DimensionError):
-        HamiltonianSystem(sample(TrigPolynomial({(1, 0): 1.0, (-1, 0): 1.0}), rep), other)
+    energy = sample(TrigPolynomial({(1, 0): 1.0, (-1, 0): 1.0}), rep)
+    system = HamiltonianSystem(energy)
+    assert system.rep is energy.rep
+    # The representation is the Hamiltonian's, so a second one is no parameter.
+    with pytest.raises(TypeError):
+        HamiltonianSystem(energy, Representation(0.5, 0.0, 2))

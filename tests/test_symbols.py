@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,20 @@ def test_trig_drops_exact_zeros():
     tp = TrigPolynomial({(1, 0): 0.0, (0, 1): 1.0, (2, 2): 0j})
     assert len(tp) == 1
     assert tp.coefficients() == {(0, 1): 1.0 + 0j}
+
+
+@pytest.mark.parametrize(
+    "key", [(1.5, 0), (True, 0), (0, False), (1.0, 0), (np.float64(2), 1), ("1", 0)]
+)
+def test_trig_refuses_non_integer_frequencies(key):
+    with pytest.raises(DomainError, match=f"frequency {re.escape(repr(key))} must be"):
+        TrigPolynomial({key: 1.0})
+
+
+def test_trig_accepts_numpy_integer_frequencies():
+    tp = TrigPolynomial({(np.int64(2), np.int32(-1)): 1.0, (np.uint8(3), 2**70): 2.0})
+    assert tp.coefficients() == {(2, -1): 1.0 + 0j, (3, 2**70): 2.0 + 0j}
+    assert all(type(k) is int for key in tp.coefficients() for k in key)
 
 
 def test_trig_arithmetic():
