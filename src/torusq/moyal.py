@@ -46,6 +46,19 @@ above K = 4N for a block built once and between K = N/2 and K = 2N for
 rebuilt ones, so the twisted route runs up to K = 4N with one block and up
 to K = N/2 with more; denser Hamiltonians call the FFT bracket on every
 right-hand side.
+
+On either route the right-hand side is a fixed linear map L, so one RK4
+step of size dt is the matrix
+
+    P = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24
+
+and s steps are P^s.  When the state has at most 144 entries (N <= 6) and
+4 s is at least that many, _rk4 folds the steps: L from the right-hand
+sides of the (2N)^2 unit vectors, P by Horner's rule, P^s by repeated
+squaring.  That is (2N)^2 right-hand sides and O(N^6 log s) arithmetic in
+place of 4 s right-hand sides, so K only enters the (2N)^2 right-hand sides
+and s only enters through log s.  Only rounding changes: the fold and the
+loop agree to a few 1e-14 relative.
 """
 from __future__ import annotations
 
@@ -241,8 +254,24 @@ def _twisted_generator(energy: np.ndarray, n: int):
     )
 
 
+# A state of at most this many entries (N <= 6) folds its RK4 steps into one
+# step matrix.  Timed at 500 steps with one BLAS thread, the fold beats the
+# loop on both routes up to N = 6.  On a four-mode Hamiltonian it breaks even
+# at N = 7 and takes 2.4 times as long at N = 8, although the FFT-bracket
+# route still runs 3.7 times faster folded there.
+_FOLD_ENTRIES = 144
+
+
 def _rk4(rhs, y: np.ndarray, t: float, steps: int) -> np.ndarray:
     dt = t / steps
+    if y.size <= min(_FOLD_ENTRIES, 4 * steps):
+        # rhs is a fixed linear map L: fold the steps into P^steps (module notes).
+        identity = np.eye(y.size, dtype=complex)
+        generator = np.stack([rhs(e.reshape(y.shape)).ravel() for e in identity], axis=1)
+        step = identity
+        for k in (4, 3, 2, 1):
+            step = identity + (dt / k) * (generator @ step)
+        return (np.linalg.matrix_power(step, steps) @ y.ravel()).reshape(y.shape)
     for _ in range(steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
@@ -259,7 +288,10 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     evolve_operator of the quantized start with O(step^4) global error.
     A Hamiltonian with few Fourier modes (at most 4N, or N/2 at large N)
     steps through its twisted convolution, any other through the FFT
-    bracket (see the module notes).
+    bracket (see the module notes).  At N <= 6, when 4 steps >= (2N)^2, the
+    steps fold into one step matrix raised to the power steps: (2N)^2
+    right-hand sides and about 2 log2(steps) products of (2N)^2 x (2N)^2
+    matrices in place of 4 steps right-hand sides.
     """
     rep = _same_rep(system, start)
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:

@@ -33,7 +33,8 @@ class TrigPolynomial:
 
     Coefficients are stored in a frequency -> amplitude map; exact zeros are
     dropped so the support is always finite and minimal.  A frequency that is
-    not a pair of Python or numpy integers (bools included) raises DomainError.
+    not a tuple of two Python or numpy integers (bools included) raises
+    DomainError.
     """
 
     __slots__ = ("_coeffs",)
@@ -41,12 +42,13 @@ class TrigPolynomial:
     def __init__(self, coeffs=()):
         data = {}
         for key, value in dict(coeffs).items():
-            k1, k2 = key
-            if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in key):
+            if not (isinstance(key, tuple) and len(key) == 2) or any(
+                isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in key
+            ):
                 raise DomainError(f"frequency {key!r} must be a pair of integers")
             c = complex(value)
             if c != 0:
-                data[(int(k1), int(k2))] = c
+                data[(int(key[0]), int(key[1]))] = c
         self._coeffs = data
 
     def coefficients(self) -> dict:

@@ -14,7 +14,7 @@ from torusq import (
     quantize_sampled,
     sample,
 )
-from torusq.moyal import _bracket_grids, _twisted_generator
+from torusq.moyal import _FOLD_ENTRIES, _bracket_grids, _rk4, _twisted_generator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,10 +87,12 @@ def test_symbol_steps_validated():
 
 
 def test_symbol_zero_time_unchanged():
-    system, rng = generic_system(2, 26)
-    a = SampledSymbol(rng.standard_normal((4, 4)) + 0j, system.rep)
-    out = evolve_symbol(system, a, 0.0, 5)
-    assert np.array_equal(out.grid, a.grid)
+    # 16 entries and 5 steps fold: the step matrix at dt = 0 is exactly I.
+    for make_system in (generic_system, dense_system):
+        system, rng = make_system(2, 26)
+        a = SampledSymbol(rng.standard_normal((4, 4)) + 0j, system.rep)
+        out = evolve_symbol(system, a, 0.0, 5)
+        assert np.array_equal(out.grid, a.grid)
 
 
 def test_constant_hamiltonian_freezes_everything():
@@ -120,21 +122,23 @@ def test_spin_precession_symbol_route():
     assert np.max(np.abs(quantize_sampled(out) + SX)) < 1e-6
 
 
-def test_symbol_route_tracks_operator_route():
+# N = 7 is past the fold limit and steps through the loop.  Its generator is
+# about twice as large as at N = 3, so it takes twice the steps.
+@pytest.mark.parametrize(("dim", "steps"), [(3, 800), (7, 1600)])
+def test_symbol_route_tracks_operator_route(dim, steps):
     for make_system in (generic_system, dense_system):
-        system, rng = make_system(3, 28)
-        dim = system.rep.dim
+        system, rng = make_system(dim, 28)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         t = 0.6
         exact = evolve_operator(system, a, t)
-        stepped = quantize_sampled(evolve_symbol(system, dequantize(system.rep, a), t, 800))
+        stepped = quantize_sampled(evolve_symbol(system, dequantize(system.rep, a), t, steps))
         assert np.max(np.abs(stepped - exact)) < 1e-6
 
 
-def test_step_refinement_is_fourth_order():
+@pytest.mark.parametrize("dim", [2, 7])
+def test_step_refinement_is_fourth_order(dim):
     for make_system in (generic_system, dense_system):
-        system, rng = make_system(2, 29)
-        dim = system.rep.dim
+        system, rng = make_system(dim, 29)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         t = 1.0
         exact = evolve_operator(system, a, t)
@@ -260,6 +264,7 @@ def test_rebuilt_blocks_match_fft_bracket():
 
 @pytest.mark.parametrize("coefficients", [{}, {(0, 0): 2.5}], ids=["zero", "constant"])
 def test_central_hamiltonian_returns_start_exactly(coefficients):
+    # 36 entries and 40 steps fold: a generator of zero gives the step matrix I.
     rep = Representation(0.2, 0.9, 3)
     system = HamiltonianSystem(sample(TrigPolynomial(coefficients), rep))
     rng = np.random.default_rng(31)
@@ -297,3 +302,73 @@ def test_overflow_names_time_and_steps():
         a = SampledSymbol(rng.standard_normal((8, 8)) + 0j, system.rep)
         with np.errstate(all="ignore"), pytest.raises(DomainError, match=r"t=1e\+300 with steps=2"):
             evolve_symbol(system, a, 1e300, 2)
+
+
+# Folding the RK4 steps into one step matrix.
+
+
+def route_problems(dim, seed):
+    """(rhs, y) for both routes of evolve_symbol: the twisted generator of the
+    four-mode Hamiltonian on a flat spectrum, and the FFT bracket of a dense
+    real grid on a grid (which evolve_symbol itself takes only for N > 1)."""
+    system, rng = generic_system(dim, seed)
+    side = 2 * dim
+    grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    energy = 0.3 * rng.standard_normal((side, side))
+    return {
+        "twisted": (_twisted_generator(system.hamiltonian.grid, dim), np.fft.fft2(grid).ravel()),
+        "bracket": (lambda g: 2j * np.pi * dim * _bracket_grids(energy, g, dim), grid),
+    }
+
+
+def counted(rhs):
+    def wrapper(y):
+        wrapper.calls += 1
+        return rhs(y)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_folded_steps_match_step_loop(dim):
+    t, steps = 0.5, 200
+    dt = t / steps
+    for rhs, y in route_problems(dim, 700 + dim).values():
+        expected = y
+        for _ in range(steps):
+            k1 = rhs(expected)
+            k2 = rhs(expected + 0.5 * dt * k1)
+            k3 = rhs(expected + 0.5 * dt * k2)
+            k4 = rhs(expected + dt * k3)
+            expected = expected + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        spy = counted(rhs)
+        folded = _rk4(spy, y, t, steps)
+        assert spy.calls == y.size
+        assert folded.shape == y.shape
+        assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_fold_calls_rhs_once_per_entry(dim):
+    # A million steps cost one rhs call per state entry and about
+    # 2 log2(10**6) matrix products.
+    assert (2 * dim) ** 2 <= _FOLD_ENTRIES
+    for rhs, y in route_problems(dim, 800 + dim).values():
+        spy = counted(rhs)
+        out = _rk4(spy, y, 1e-3, 10**6)
+        assert spy.calls == y.size
+        assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize(
+    ("dim", "steps"),
+    [(7, 10), (6, 35)],
+    ids=["past-the-limit", "fewer-calls-than-entries"],
+)
+def test_step_loop_taken_otherwise(dim, steps):
+    assert (2 * dim) ** 2 > min(_FOLD_ENTRIES, 4 * steps)
+    for rhs, y in route_problems(dim, 900 + dim).values():
+        spy = counted(rhs)
+        _rk4(spy, y, 0.1, steps)
+        assert spy.calls == 4 * steps

@@ -30,7 +30,7 @@ def test_trig_drops_exact_zeros():
 
 
 @pytest.mark.parametrize(
-    "key", [(1.5, 0), (True, 0), (0, False), (1.0, 0), (np.float64(2), 1), ("1", 0)]
+    "key", [(1.5, 0), (True, 0), (0, False), (1.0, 0), (np.float64(2), 1), ("1", 0), 1, (1, 2, 3)]
 )
 def test_trig_refuses_non_integer_frequencies(key):
     with pytest.raises(DomainError, match=f"frequency {re.escape(repr(key))} must be"):
