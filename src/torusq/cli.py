@@ -9,6 +9,7 @@ input or command line, 3 inconsistent dimensions, 4 out-of-domain data.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -178,7 +179,10 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by later calls:
+    each parse returns a fresh namespace, so no value carries over."""
     parser = _Parser(
         prog="torusq",
         description="Weyl quantization, Wigner tables and Moyal dynamics on the torus.",

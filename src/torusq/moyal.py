@@ -24,41 +24,24 @@ the final transform, which makes {a, a} exactly zero.  The test suite pins
 both against the literal sums.
 
 Heisenberg dynamics integrates d a / dt = 2 i pi N {H, a} for a fixed
-Hamiltonian H.  The plane waves e_m(j, k) = exp(i pi (m1 j + m2 k) / N)
-multiply as
+real Hamiltonian H.  Quantization sends the bracket to the commutator, and
+so does each shifted quantization Q_c(a) = quantize_sampled(a(. + c)) for
+the four shifts c in {0, 1}^2: the product kernel is shift-invariant.  The
+four maps together carry the 2N x 2N grids one-to-one onto four copies of
+M_N, with inverse
 
-    e_m # e_n = exp(i pi (n1 m2 - n2 m1) / N) e_{m+n},
+    a = sum_c dequantize(Q_c(a)) shifted back by c,
 
-so with hats for numpy's fft2 the bracket is a twisted convolution over the
-Fourier support of H:
-
-    fft2({H, a})[p] = (2i/(2N)^2) sum_m H^_m sin(pi (p1 m2 - p2 m1) / N) a^[p - m],
-
-or in real space (1/(2N)^2) sum_m H^_m e_m(j, k) (a(j+m2, k-m1) - a(j-m2, k+m1)).
-evolve_symbol counts the K modes of H^ above the FFT round-off floor that
-do not commute with everything, and runs RK4 on a^: per right-hand side one
-gather and one weighted sum over the K modes, O(K N^2), with one inverse
-transform at the end.  The modes go in blocks of at most 2^16 spectrum
-entries, so memory stays O(N^2 + K N).  When all modes fit in one block its
-weights and indices are built once; otherwise every call rebuilds them.
-Timing both routes for N = 2..128 puts the crossover with the FFT bracket
-above K = 4N for a block built once and between K = N/2 and K = 2N for
-rebuilt ones, so the twisted route runs up to K = 4N with one block and up
-to K = N/2 with more; denser Hamiltonians call the FFT bracket on every
-right-hand side.
-
-On either route the right-hand side is a fixed linear map L, so one RK4
-step of size dt is the matrix
-
-    P = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24
-
-and s steps are P^s.  When the state has at most 144 entries (N <= 6) and
-4 s is at least that many, _rk4 folds the steps: L from the right-hand
-sides of the (2N)^2 unit vectors, P by Horner's rule, P^s by repeated
-squaring.  That is (2N)^2 right-hand sides and O(N^6 log s) arithmetic in
-place of 4 s right-hand sides, so K only enters the (2N)^2 right-hand sides
-and s only enters through log s.  Only rounding changes: the fold and the
-loop agree to a few 1e-14 relative.
+so in block c the flow is d A_c / dt = 2 i pi N [H_c, A_c] with H_c
+Hermitian.  In the eigenbasis of H_c this right-hand side multiplies entry
+(i, j) by z_ij / dt, z_ij = 2 i pi N dt (E_i - E_j), and one RK4 step
+multiplies it by R(z_ij) = 1 + z + z^2/2 + z^3/6 + z^4/24.  evolve_symbol
+therefore applies steps RK4 steps exactly as R(z_ij)^steps, at the cost of
+one batched eigh of four N x N matrices, a few N x N products and
+O(N^2 log N) transforms, whatever the step count or the number of Fourier
+modes of H.  Only rounding differs from stepping the bracket by hand.  For
+imaginary z, |R(z)| <= 1 exactly when |z| <= 2 sqrt(2); evolve_symbol
+refuses a step past that limit, where the RK4 solution grows without bound.
 """
 from __future__ import annotations
 
@@ -70,9 +53,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, DomainError
-from .quantize import quantize_sampled
+from .quantize import _quantize_grids, quantize_sampled
 from .rep import Representation
 from .symbols import SampledSymbol, TrigPolynomial, _same_rep, sample
+from .wigner import _core
 
 __all__ = [
     "HamiltonianSystem",
@@ -103,10 +87,6 @@ def _from_correlation(correlation: np.ndarray) -> np.ndarray:
     return np.fft.ifft(correlation[-np.arange(len(correlation))], axis=1)
 
 
-def _bracket_grids(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    return _from_correlation(_correlation(a, b, n) - _correlation(b, a, n))
-
-
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Noncommutative product a # b; quantizes to the operator product."""
     rep = _same_rep(a, b)
@@ -118,7 +98,9 @@ def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     kernel (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); quantizes to the
     commutator."""
     rep = _same_rep(a, b)
-    return SampledSymbol(_bracket_grids(a.grid, b.grid, rep.dim), rep)
+    n = rep.dim
+    correlation = _correlation(a.grid, b.grid, n) - _correlation(b.grid, a.grid, n)
+    return SampledSymbol(_from_correlation(correlation), rep)
 
 
 def poisson_bracket(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
@@ -202,116 +184,77 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
     return propagator @ a @ propagator.conj().T
 
 
-# Mode blocks of the twisted route hold at most this many spectrum entries,
-# which bounds its memory by a few MB whatever K and N are.
-_BLOCK_ENTRIES = 1 << 16
+# Shifts c of the four quantization blocks Q_c(a) = quantize_sampled(a(. + c)).
+_SHIFTS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-def _twisted_generator(energy: np.ndarray, n: int):
-    """The map fft2(a) -> fft2(2 i pi N {H, a}) on flattened spectra, as a
-    twisted convolution over the Fourier support of H; None when that support
-    has too many modes for the route to beat the FFT bracket."""
-    side = 2 * n
-    spectrum = np.fft.fft2(energy)
-    m1, m2 = np.nonzero(np.abs(spectrum) > 1e-13 * np.max(np.abs(spectrum)))
-    # Modes with m1 and m2 both in {0, N} have a zero sine at every p: they
-    # commute with every symbol.
-    moving = (m1 % n != 0) | (m2 % n != 0)
-    m1, m2 = m1[moving, None, None], m2[moving, None, None]
-    per_block = max(1, _BLOCK_ENTRIES // side**2)
-    # Route rule from timing both routes per right-hand side for N = 2..128:
-    # one block built once stays faster than the FFT bracket up to K = 4N;
-    # blocks rebuilt on every call cost 4-10 times as much per entry and
-    # stay faster up to K = N/2.
-    if len(m1) > (4 * n if len(m1) <= per_block else n // 2):
-        return None
-    p1, p2 = np.arange(side)[:, None], np.arange(side)
-    coefficients = (2j * np.pi * n) * (2j / side**2) * spectrum[m1, m2]
-    # sin(pi (p1 m2 - p2 m1) / N) = sines[turn - back] with the table over
-    # two periods, so a block needs no modulo over its (2N)^2 entries.
-    sines = np.sin(np.pi * np.arange(2 * side) / n)
-    turn, back = (p1 * m2) % side + side, (p2 * m1) % side
-    row, column = ((p1 - m1) % side) * side, (p2 - m2) % side
-
-    def block(modes):
-        """Weights and flat gather indices of a block of modes, each (modes, (2N)^2)."""
-        weights = coefficients[modes] * sines[turn[modes] - back[modes]]
-        shape = (len(weights), side * side)
-        return weights.reshape(shape), (row[modes] + column[modes]).reshape(shape)
-
-    def apply(flat_spectrum, weights, index):
-        terms = flat_spectrum.take(index)  # terms[k, p] = a^[p - m_k]
-        terms *= weights
-        return terms.sum(axis=0)
-
-    if len(m1) <= per_block:
-        weights, index = block(slice(None))
-        return lambda flat_spectrum: apply(flat_spectrum, weights, index)
-    # Rebuilding each block on every call keeps memory O(N^2 + K N).
-    blocks = [slice(start, start + per_block) for start in range(0, len(m1), per_block)]
-    return lambda flat_spectrum: sum(
-        (apply(flat_spectrum, *block(modes)) for modes in blocks), np.zeros_like(flat_spectrum)
-    )
+def _shifted(side: int, sign: int) -> tuple:
+    """Row and column indices that read grid(. + sign c) for the four shifts c."""
+    j = np.arange(side)
+    rows = (j[:, None] + sign * _SHIFTS[:, :1, None]) % side  # (4, 2N, 1)
+    columns = (j + sign * _SHIFTS[:, 1:, None]) % side  # (4, 1, 2N)
+    return rows, columns
 
 
-# A state of at most this many entries (N <= 6) folds its RK4 steps into one
-# step matrix.  Timed at 500 steps with one BLAS thread, the fold beats the
-# loop on both routes up to N = 6.  On a four-mode Hamiltonian it breaks even
-# at N = 7 and takes 2.4 times as long at N = 8, although the FFT-bracket
-# route still runs 3.7 times faster folded there.
-_FOLD_ENTRIES = 144
+def _to_blocks(grids: np.ndarray) -> np.ndarray:
+    """The four blocks Q_c of 2N x 2N grids on the last two axes, stacked on axis -3."""
+    return _quantize_grids(grids[(..., *_shifted(grids.shape[-1], 1))])
 
 
-def _rk4(rhs, y: np.ndarray, t: float, steps: int) -> np.ndarray:
-    dt = t / steps
-    if y.size <= min(_FOLD_ENTRIES, 4 * steps):
-        # rhs is a fixed linear map L: fold the steps into P^steps (module notes).
-        identity = np.eye(y.size, dtype=complex)
-        generator = np.stack([rhs(e.reshape(y.shape)).ravel() for e in identity], axis=1)
-        step = identity
-        for k in (4, 3, 2, 1):
-            step = identity + (dt / k) * (generator @ step)
-        return (np.linalg.matrix_power(step, steps) @ y.ravel()).reshape(y.shape)
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def _from_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The grid whose four blocks Q_c are blocks[c], the inverse of _to_blocks."""
+    n = blocks.shape[-1]
+    rows, columns = _shifted(2 * n, -1)
+    return n * _core(blocks)[np.arange(4)[:, None, None], rows, columns].sum(axis=0)
 
 
 def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, steps: int) -> SampledSymbol:
-    """Integrate the symbol evolution d a / dt = 2 i pi N {H, a} with fixed-step RK4.
+    """Apply steps fixed RK4 steps of size t/steps to d a / dt = 2 i pi N {H, a}.
 
     The sign matches evolve_operator: quantizing the result approximates
     evolve_operator of the quantized start with O(step^4) global error.
-    A Hamiltonian with few Fourier modes (at most 4N, or N/2 at large N)
-    steps through its twisted convolution, any other through the FFT
-    bracket (see the module notes).  At N <= 6, when 4 steps >= (2N)^2, the
-    steps fold into one step matrix raised to the power steps: (2N)^2
-    right-hand sides and about 2 log2(steps) products of (2N)^2 x (2N)^2
-    matrices in place of 4 steps right-hand sides.
+    The steps are applied exactly in the eigenbases of the four quantization
+    blocks H_c of H (see the module notes): entry (i, j) of each block of
+    the start gains the factor R(z_ij)^steps.  Fourier modes of H below
+    1e-13 of the largest, and those with both indices in {0, N}, which
+    commute with every symbol, are dropped first; a Hamiltonian with no
+    other mode returns the start grid bit for bit.  A step with
+    2 pi N |t/steps| (E_max - E_min) > 2 sqrt(2) in some block is past RK4's
+    stability limit and raises DomainError.
     """
     rep = _same_rep(system, start)
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise DomainError(f"steps must be a positive integer, got {steps!r}")
     _require_real_time(t)
+    try:
+        dt = float(t) / int(steps)
+    except OverflowError:  # a step count past the float range
+        raise DomainError("steps must be below 2**1024") from None
     n = rep.dim
-    energy = system.hamiltonian.grid
-    generator = _twisted_generator(energy, n)
-    if generator is None:
-        rate = 2j * np.pi * n
-        grid = _rk4(lambda grid: rate * _bracket_grids(energy, grid, n), start.grid, t, steps)
-    else:
-        # Only the change is transformed back, so a Hamiltonian that moves
-        # nothing returns the start grid bit for bit.
-        spectrum = np.fft.fft2(start.grid).ravel()
-        change = (_rk4(generator, spectrum, t, steps) - spectrum).reshape(start.grid.shape)
-        grid = start.grid + np.fft.ifft2(change)
-    if not np.all(np.isfinite(grid)):
+    spectrum = np.fft.fft2(system.hamiltonian.grid)
+    moving = np.abs(spectrum) > 1e-13 * np.max(np.abs(spectrum))
+    moving[::n, ::n] = False  # modes in {0, N}^2 commute with every symbol
+    if not moving.any():
+        return start
+    energy_blocks, start_blocks = _to_blocks(
+        np.stack([np.fft.ifft2(np.where(moving, spectrum, 0)), start.grid])
+    )
+    energies, vectors = np.linalg.eigh(energy_blocks)
+    reach = 2 * math.pi * n * abs(dt) * float(np.max(energies[:, -1] - energies[:, 0]))
+    if reach > 2 * math.sqrt(2):
         raise DomainError(
-            f"the evolved symbol is not finite at t={t!r} with steps={steps}: "
-            "the RK4 step t/steps is too large"
+            f"t={t!r} with steps={steps} is past the RK4 stability limit: "
+            f"2 pi N |t/steps| (E_max - E_min) = {reach:.6e} > 2 sqrt(2) = {2 * math.sqrt(2):.6e}"
         )
-    return SampledSymbol(grid, rep)
+    # R(iy) = 1 - y^2/2 + y^4/24 + i (y - y^3/6) with |R(iy)|^2 = 1 - y^6/72 + y^8/576.
+    # Taking the power in polar form, through log1p of |R|^2 - 1, keeps
+    # |R|^steps accurate to rounding for any step count.
+    y = (2 * math.pi * n * dt) * (energies[:, :, None] - energies[:, None, :])
+    y2 = y * y
+    log_r = 0.5 * np.log1p(y2**3 * (y2 / 576 - 1 / 72)) + 1j * np.arctan2(
+        y * (1 - y2 / 6), 1 - y2 / 2 + y2 * y2 / 24
+    )
+    adjoint = vectors.conj().swapaxes(-2, -1)
+    # Only the change is transformed back, so rounding stays at the size of the change.
+    gain = np.expm1(float(steps) * log_r) * (adjoint @ start_blocks @ vectors)
+    return SampledSymbol(start.grid + _from_blocks(vectors @ gain @ adjoint), rep)

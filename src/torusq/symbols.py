@@ -194,11 +194,14 @@ def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
 
 
 def symmetric_extension(block: np.ndarray) -> np.ndarray:
-    """Extend an N x N principal block to the 2N x 2N grid via S1 to S3 (delta's adjoint)."""
+    """Extend an N x N principal block to the 2N x 2N grid via S1 to S3 (delta's adjoint).
+
+    Leading axes are a stack of blocks, each extended on its own.
+    """
     b = np.asarray(block, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
         raise DimensionError(f"principal block must be square, got shape {b.shape}")
-    s1, s2, s3 = _ghost_signs(b.shape[0])
+    s1, s2, s3 = _ghost_signs(b.shape[-1])
     return np.block([[b, s2 * b], [s1 * b, s3 * b]])
 
 

@@ -66,11 +66,12 @@ def _check_state(rep: Representation, psi: np.ndarray, name: str) -> np.ndarray:
 def _core(a: np.ndarray) -> np.ndarray:
     # Principal block: (1/2N) sum_l A[l, r - l] exp(-i pi (2l - r) s / N) is the row
     # FFT of A[l, r - l] times exp(i pi r s / N); S1 to S3 give the ghost blocks.
-    n = len(a)
+    # Leading axes of a are a stack of operators.
+    n = a.shape[-1]
     r = np.arange(n)[:, None]
     l = np.arange(n)[None, :]
     twist = np.exp(1j * np.pi * ((r * l) % (2 * n)) / n)
-    return symmetric_extension(twist * np.fft.fft(a[l, (r - l) % n], axis=1) / (2 * n))
+    return symmetric_extension(twist * np.fft.fft(a[..., l, (r - l) % n], axis=-1) / (2 * n))
 
 
 def fourier_wigner(rep: Representation, psi, phi, n1: int, n2: int) -> complex:

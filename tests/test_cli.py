@@ -295,6 +295,45 @@ def test_evolve_overflow_names_time_and_steps(tmp_path, capsys):
     assert "t=1e+300" in err and "steps=2" in err
 
 
+
+def test_evolve_refuses_a_step_past_the_stability_limit(tmp_path, capsys):
+    # The four-mode Hamiltonian at N = 4: t/steps = 3e4 is far past RK4's limit.
+    ham = tmp_path / "h.json"
+    ham.write_text(
+        serialize.trig_to_json(
+            TrigPolynomial({(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.1, (0, -1): 0.1})
+        )
+    )
+    rng = np.random.default_rng(63)
+    start = tmp_path / "start.json"
+    grid = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    start.write_text(serialize.sampled_to_json(SampledSymbol(grid, Representation(0.3, 0.6, 4))))
+    out = tmp_path / "evolved.json"
+    assert cli.main(["evolve", str(ham), str(start), "--t", "1e5", "--steps", "3", "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: t=100000.0 with steps=3") and "stability limit" in err
+    assert not out.exists()
+
+
+def test_parser_reuse_carries_no_value_between_calls(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    rng = np.random.default_rng(64)
+    operator = tmp_path / "op.json"
+    operator.write_text(serialize.operator_to_json(rng.standard_normal((2, 2)) + 0j))
+    ham = tmp_path / "h.json"
+    ham.write_text('[{"n1":1,"n2":0,"re":0.5,"im":0.0},{"n1":-1,"n2":0,"re":0.5,"im":0.0}]')
+    first, second, third = (tmp_path / name for name in ("a.csv", "b.json", "c.json"))
+    argv = ["dequantize", str(operator), "--csv", "--theta1", "0.25", "-o", str(first)]
+    assert cli.main(argv) == 0
+    assert cli.main(["quantize", str(ham), "--N", "2", "--route", "sampled", "-o", str(second)]) == 0
+    assert cli.main(["dequantize", str(operator), "-o", str(third)]) == 0
+    quantized = serialize.operator_from_json(second.read_text())
+    assert np.max(np.abs(quantized - SZ)) < 1e-12
+    canonical = serialize.sampled_from_json(third.read_text())
+    assert (canonical.rep.theta1, canonical.rep.theta2) == (0.0, 0.0)
+    assert first.read_text() != third.read_text()
+    assert capsys.readouterr().err == ""
+
 BAD_LABELS = [
     (["quantize", "{tp}", "--N", "0"], 3),
     (["quantize", "{tp}", "--N", "-3"], 3),
@@ -498,7 +537,7 @@ def test_fuzzed_inputs_end_in_a_documented_exit(run):
 
 
 # Fuzzing evolve's numeric flags on valid documents: a sparse trig Hamiltonian
-# (twisted-convolution route) and a dense sampled one (FFT-bracket route).
+# and a dense sampled one.
 # --steps stays at most 40, so no example runs long.
 
 _TIMES = st.one_of(

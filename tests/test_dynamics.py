@@ -11,10 +11,11 @@ from torusq import (
     dequantize,
     evolve_operator,
     evolve_symbol,
+    kernel_element,
+    moyal_bracket,
     quantize_sampled,
     sample,
 )
-from torusq.moyal import _FOLD_ENTRIES, _bracket_grids, _rk4, _twisted_generator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -35,12 +36,10 @@ def generic_system(dim, seed):
 
 
 def dense_system(dim, seed):
-    """A real random grid: every lattice mode is present, so evolve_symbol
-    takes the FFT-bracket route."""
+    """A real random grid: every lattice mode is present."""
     rng = np.random.default_rng(seed)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
     energy = 0.3 * rng.standard_normal((2 * dim, 2 * dim))
-    assert _twisted_generator(energy, dim) is None
     return HamiltonianSystem(SampledSymbol(energy + 0j, rep)), rng
 
 
@@ -79,7 +78,7 @@ def test_operator_shape_checked():
 def test_symbol_steps_validated():
     system, rng = generic_system(2, 25)
     a = SampledSymbol(rng.standard_normal((4, 4)) + 0j, system.rep)
-    for steps in (0, -2, 2.7, 3.0, True, "4"):
+    for steps in (0, -2, 2.7, 3.0, True, "4", 10**400):
         with pytest.raises(DomainError):
             evolve_symbol(system, a, 1.0, steps)
     by_numpy_int = evolve_symbol(system, a, 0.1, np.int64(3)).grid
@@ -87,7 +86,7 @@ def test_symbol_steps_validated():
 
 
 def test_symbol_zero_time_unchanged():
-    # 16 entries and 5 steps fold: the step matrix at dt = 0 is exactly I.
+    # At dt = 0 every factor R(z)^steps - 1 is exactly zero.
     for make_system in (generic_system, dense_system):
         system, rng = make_system(2, 26)
         a = SampledSymbol(rng.standard_normal((4, 4)) + 0j, system.rep)
@@ -122,8 +121,8 @@ def test_spin_precession_symbol_route():
     assert np.max(np.abs(quantize_sampled(out) + SX)) < 1e-6
 
 
-# N = 7 is past the fold limit and steps through the loop.  Its generator is
-# about twice as large as at N = 3, so it takes twice the steps.
+# At N = 7 the four-mode generator is about twice as large as at N = 3, so it
+# takes twice the steps.
 @pytest.mark.parametrize(("dim", "steps"), [(3, 800), (7, 1600)])
 def test_symbol_route_tracks_operator_route(dim, steps):
     for make_system in (generic_system, dense_system):
@@ -162,7 +161,10 @@ def test_energy_expectation_stays_real():
         assert abs(value.imag) < 1e-8 * (abs(value) + 1.0)
 
 
-# The twisted-convolution generator, checked against the FFT bracket.
+# The bracket as a twisted convolution over the Fourier support of H: the
+# plane waves e_m(j, k) = exp(i pi (m1 j + m2 k) / N) multiply as
+# e_m # e_n = exp(i pi (n1 m2 - n2 m1) / N) e_{m+n}, so with hats for fft2
+# fft2({H, a})[p] = (2i/(2N)^2) sum_m H^_m sin(pi (p1 m2 - p2 m1) / N) a^[p - m].
 
 
 def sparse_real_hamiltonian(rng, dim, modes, central=True):
@@ -190,10 +192,24 @@ def sparse_real_hamiltonian(rng, dim, modes, central=True):
     return np.fft.ifft2(spectrum).real * side
 
 
-def generator_rhs(energy, grid, dim):
+def twisted_bracket(energy, grid, dim):
+    """{H, a} by the twisted convolution, summed over every lattice mode m."""
     side = 2 * dim
-    generator = _twisted_generator(energy, dim)
-    return np.fft.ifft2(generator(np.fft.fft2(grid).ravel()).reshape(side, side))
+    energy_hat, grid_hat = np.fft.fft2(energy), np.fft.fft2(grid)
+    p1, p2 = np.arange(side)[:, None], np.arange(side)
+    total = np.zeros((side, side), dtype=complex)
+    for m1 in range(side):
+        for m2 in range(side):
+            sine = np.sin(np.pi * (p1 * m2 - p2 * m1) / dim)
+            total += energy_hat[m1, m2] * sine * np.roll(grid_hat, (m1, m2), axis=(0, 1))
+    return np.fft.ifft2((2j / side**2) * total)
+
+
+def assert_bracket_is_twisted(energy, grid, dim):
+    rep = Representation(0.0, 0.0, dim)
+    expected = moyal_bracket(SampledSymbol(energy, rep), SampledSymbol(grid, rep)).grid
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(twisted_bracket(energy, grid, dim) - expected)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -203,9 +219,7 @@ def test_twisted_generator_matches_fft_bracket(dim):
     for modes in range(1, min(4 * dim + 1, side * side) + 1):
         energy = sparse_real_hamiltonian(rng, dim, modes)
         grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-        expected = 2j * np.pi * dim * _bracket_grids(energy, grid, dim)
-        scale = max(1.0, float(np.max(np.abs(expected))))
-        assert np.max(np.abs(generator_rhs(energy, grid, dim) - expected)) <= 1e-12 * scale
+        assert_bracket_is_twisted(energy, grid, dim)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -222,22 +236,58 @@ def test_twisted_generator_on_aliased_trig_frequencies(dim):
         }),
         rep,
     ).grid
-    assert _twisted_generator(energy, dim) is not None
     grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    expected = 2j * np.pi * dim * _bracket_grids(energy, grid, dim)
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(generator_rhs(energy, grid, dim) - expected)) <= 1e-12 * scale
+    assert_bracket_is_twisted(energy, grid, dim)
+
+
+# evolve_symbol against RK4 steps over moyal_bracket, written out here.
+
+
+def rk4_loop(system, start, t, steps):
+    rate = 2j * np.pi * system.rep.dim
+    energy = system.hamiltonian
+
+    def rhs(grid):
+        return rate * moyal_bracket(energy, SampledSymbol(grid, system.rep)).grid
+
+    dt = t / steps
+    y = start.grid
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def assert_matches_rk4_loop(system, start, t, steps):
+    expected = rk4_loop(system, start, t, steps)
+    out = evolve_symbol(system, start, t, steps).grid
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def random_start(rng, rep):
+    side = 2 * rep.dim
+    return SampledSymbol(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)), rep)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_folded_steps_match_step_loop(dim):
+    # evolve_symbol folds the steps into the powers R(z)^steps.
+    for make_system in (generic_system, dense_system):
+        system, rng = make_system(dim, 700 + dim)
+        assert_matches_rk4_loop(system, random_start(rng, system.rep), 0.5, 200)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_route_boundary_tracks_operator_route(dim):
-    # 4N + 1 modes with one central mode move like 4N: central modes commute
-    # with everything and do not count.  Moving modes come in pairs -m, m.
+    # Around 4N modes: 4N + 1 modes with one central mode move like 4N, since
+    # central modes commute with everything.  Moving modes come in pairs -m, m.
     rng = np.random.default_rng(500 + dim)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
-    for modes, twisted in ((4 * dim, True), (4 * dim + 1, True), (4 * dim + 2, False)):
+    for modes in (4 * dim, 4 * dim + 1, 4 * dim + 2):
         energy = 0.1 * sparse_real_hamiltonian(rng, dim, modes)
-        assert (_twisted_generator(energy, dim) is not None) == twisted
         system = HamiltonianSystem(SampledSymbol(energy, rep))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         exact = evolve_operator(system, a, 0.3)
@@ -246,30 +296,52 @@ def test_route_boundary_tracks_operator_route(dim):
 
 
 def test_rebuilt_blocks_match_fft_bracket():
-    # At N = 64 a block holds 4 modes: K = 6 and K = N/2 = 32 rebuild their
-    # blocks on every call, and K = 34 is left to the FFT bracket.
+    # The grid rebuilt from its four evolved blocks at N = 64, for K = 6, N/2
+    # and N/2 + 2 modes, against RK4 steps over the FFT bracket.
     dim = 64
     rng = np.random.default_rng(600)
-    side = 2 * dim
-    grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    for modes, twisted in ((6, True), (dim // 2, True), (dim // 2 + 2, False)):
-        energy = sparse_real_hamiltonian(rng, dim, modes, central=False)
-        if not twisted:
-            assert _twisted_generator(energy, dim) is None
-            continue
-        expected = 2j * np.pi * dim * _bracket_grids(energy, grid, dim)
-        scale = max(1.0, float(np.max(np.abs(expected))))
-        assert np.max(np.abs(generator_rhs(energy, grid, dim) - expected)) <= 1e-12 * scale
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    start = random_start(rng, rep)
+    for modes in (6, dim // 2, dim // 2 + 2):
+        energy = 0.1 * sparse_real_hamiltonian(rng, dim, modes, central=False)
+        assert_matches_rk4_loop(HamiltonianSystem(SampledSymbol(energy, rep)), start, 0.01, 3)
 
 
-@pytest.mark.parametrize("coefficients", [{}, {(0, 0): 2.5}], ids=["zero", "constant"])
+def block(grid, rep, c1, c2):
+    """Q_c of a grid: the quantization of the grid shifted by c = (c1, c2)."""
+    return quantize_sampled(SampledSymbol(np.roll(grid, (-c1, -c2), axis=(0, 1)), rep))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_four_blocks_split_kernel_and_dequantized_grids(dim):
+    # Fold kernel grids quantize to zero in block 0 and dequantized grids in
+    # blocks 1-3, so the four blocks separate them.
+    rng = np.random.default_rng(1000 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    kernel = kernel_element(rep, 1000 + dim).grid
+    operator = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    canonical = dequantize(rep, operator).grid
+    assert np.max(np.abs(block(kernel, rep, 0, 0))) <= 1e-12 * np.max(np.abs(kernel))
+    for c1, c2 in ((1, 0), (0, 1), (1, 1)):
+        assert np.max(np.abs(block(canonical, rep, c1, c2))) <= 1e-12 * np.max(np.abs(canonical))
+    assert np.max(np.abs(block(canonical, rep, 0, 0) - operator)) <= 1e-12 * np.max(np.abs(operator))
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [lambda dim: {}, lambda dim: {(0, 0): 2.5}, lambda dim: {
+        (dim, 0): 0.7, (-dim, 0): 0.7, (dim, dim): 0.3, (-dim, -dim): 0.3, (0, 2 * dim): 0.2,
+        (0, -2 * dim): 0.2,
+    }],
+    ids=["zero", "constant", "central"],
+)
 def test_central_hamiltonian_returns_start_exactly(coefficients):
-    # 36 entries and 40 steps fold: a generator of zero gives the step matrix I.
-    rep = Representation(0.2, 0.9, 3)
-    system = HamiltonianSystem(sample(TrigPolynomial(coefficients), rep))
-    rng = np.random.default_rng(31)
-    a = SampledSymbol(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), rep)
-    assert np.array_equal(evolve_symbol(system, a, 0.7, 40).grid, a.grid)
+    # Central modes (m1, m2 in {0, N} mod 2N) commute with every symbol.
+    for dim in (2, 3, 7):
+        rep = Representation(0.2, 0.9, dim)
+        system = HamiltonianSystem(sample(TrigPolynomial(coefficients(dim)), rep))
+        a = random_start(np.random.default_rng(31 + dim), rep)
+        assert np.array_equal(evolve_symbol(system, a, 0.7, 40).grid, a.grid)
 
 
 def test_hamiltonian_is_conserved():
@@ -304,71 +376,47 @@ def test_overflow_names_time_and_steps():
             evolve_symbol(system, a, 1e300, 2)
 
 
-# Folding the RK4 steps into one step matrix.
+# RK4's stability limit: |R(iy)| <= 1 exactly when |y| <= 2 sqrt(2).
 
 
-def route_problems(dim, seed):
-    """(rhs, y) for both routes of evolve_symbol: the twisted generator of the
-    four-mode Hamiltonian on a flat spectrum, and the FFT bracket of a dense
-    real grid on a grid (which evolve_symbol itself takes only for N > 1)."""
-    system, rng = generic_system(dim, seed)
-    side = 2 * dim
-    grid = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    energy = 0.3 * rng.standard_normal((side, side))
-    return {
-        "twisted": (_twisted_generator(system.hamiltonian.grid, dim), np.fft.fft2(grid).ravel()),
-        "bracket": (lambda g: 2j * np.pi * dim * _bracket_grids(energy, g, dim), grid),
-    }
-
-
-def counted(rhs):
-    def wrapper(y):
-        wrapper.calls += 1
-        return rhs(y)
-
-    wrapper.calls = 0
-    return wrapper
-
-
-@pytest.mark.parametrize("dim", range(1, 7))
-def test_folded_steps_match_step_loop(dim):
-    t, steps = 0.5, 200
-    dt = t / steps
-    for rhs, y in route_problems(dim, 700 + dim).values():
-        expected = y
-        for _ in range(steps):
-            k1 = rhs(expected)
-            k2 = rhs(expected + 0.5 * dt * k1)
-            k3 = rhs(expected + 0.5 * dt * k2)
-            k4 = rhs(expected + dt * k3)
-            expected = expected + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        spy = counted(rhs)
-        folded = _rk4(spy, y, t, steps)
-        assert spy.calls == y.size
-        assert folded.shape == y.shape
-        assert np.max(np.abs(folded - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("dim", [2, 6])
-def test_fold_calls_rhs_once_per_entry(dim):
-    # A million steps cost one rhs call per state entry and about
-    # 2 log2(10**6) matrix products.
-    assert (2 * dim) ** 2 <= _FOLD_ENTRIES
-    for rhs, y in route_problems(dim, 800 + dim).values():
-        spy = counted(rhs)
-        out = _rk4(spy, y, 1e-3, 10**6)
-        assert spy.calls == y.size
-        assert np.all(np.isfinite(out))
+def stability_time(system, steps):
+    """The t at which 2 pi N |t/steps| max_c (E_max - E_min) reaches 2 sqrt(2)."""
+    rep = system.rep
+    spread = max(
+        np.ptp(np.linalg.eigvalsh(block(system.hamiltonian.grid, rep, c1, c2)))
+        for c1, c2 in ((0, 0), (1, 0), (0, 1), (1, 1))
+    )
+    return 2 * np.sqrt(2) * steps / (2 * np.pi * rep.dim * spread)
 
 
 @pytest.mark.parametrize(
-    ("dim", "steps"),
-    [(7, 10), (6, 35)],
-    ids=["past-the-limit", "fewer-calls-than-entries"],
+    ("factor", "refused"),
+    [(1 - 1e-6, False), (1 + 1e-6, True)],
+    ids=["inside-the-limit", "past-the-limit"],
 )
-def test_step_loop_taken_otherwise(dim, steps):
-    assert (2 * dim) ** 2 > min(_FOLD_ENTRIES, 4 * steps)
-    for rhs, y in route_problems(dim, 900 + dim).values():
-        spy = counted(rhs)
-        _rk4(spy, y, 0.1, steps)
-        assert spy.calls == 4 * steps
+def test_stability_limit(factor, refused):
+    for make_system in (generic_system, dense_system):
+        system, rng = make_system(4, 900)
+        start = random_start(rng, system.rep)
+        steps = 3
+        t = float(factor * stability_time(system, steps))
+        if refused:
+            with pytest.raises(DomainError, match=rf"t={t!r} with steps=3 .*stability limit"):
+                evolve_symbol(system, start, t, steps)
+            continue
+        # In the eigenbases every factor has modulus at most 1, so no block grows.
+        before = np.linalg.norm(quantize_sampled(start))
+        after = np.linalg.norm(quantize_sampled(evolve_symbol(system, start, t, steps)))
+        assert after <= before * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_million_steps_match_exact_flow(dim):
+    # The step count only enters as an exponent, so 10**6 steps cost no more
+    # than one; at dt = 1e-6 the RK4 error is far below rounding.
+    for make_system in (generic_system, dense_system):
+        system, rng = make_system(dim, 800 + dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        exact = evolve_operator(system, a, 1.0)
+        stepped = quantize_sampled(evolve_symbol(system, dequantize(system.rep, a), 1.0, 10**6))
+        assert np.max(np.abs(stepped - exact)) < 1e-10
