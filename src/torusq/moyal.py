@@ -11,27 +11,25 @@ product and the bracket into the commutator, exactly, for arbitrary grids.
 The kernels do not involve theta, so equal grids give equal results in any
 representation of the same dimension.
 
-Substituting x = j+r, y = k+s, p = j+u, q = k+v and summing over y and q
-first leaves row DFTs of the two grids:
+The kernel is shift-invariant, so each of the four shifted quantizations
+Q_c(a) = quantize_sampled(a(. + c)), c = (c1, c2) in {0, 1}^2, also turns
+# into the operator product.  Read off the row DFT F2 a of the grid,
 
-    (a # b)(j, k) = ifft_tau(G(-j, tau))(k),
-    G(d, tau) = sum_x fft_y(a)(x, x+tau+d) ifft_y(b)(x+tau, x+d),
+    Q_c(a)[i, j] = (1/2N) sum_{h=0,1} F2 a(i+j+hN+c1, j-i+hN) exp(i pi c2 (j-i+hN) / N);
 
-where fft_y and ifft_y are numpy's DFTs along each row (the p axis).  A
-product costs three row transforms and one O(N^3) contraction over x, with
-O(N^2) memory.  The bracket {a, b} = a # b - b # a is taken on G before
-the final transform, which makes {a, a} exactly zero.  The test suite pins
-both against the literal sums.
+the phase of h = 1 is minus that of h = 0, so the two terms meet in a sum
+for c2 = 0 and a difference for c2 = 1.  The four maps together carry the
+2N x 2N grids one-to-one onto four copies of M_N: the stacked map is
+sqrt(1/N) times a unitary, so its inverse is N times its adjoint.  For
+each c1 the (h, i, j) above name the entries with row + column = c1 mod 2
+once each, so the adjoint is one assignment and one row inverse DFT.
+a # b is the inverse of the four products Q_c(a) Q_c(b), and {a, b} that
+of the four commutators, which makes {a, a} exactly zero.  Each costs
+O(N^3) for the products and O(N^2 log N) for the transforms; the test
+suite pins both against the literal sums.
 
 Heisenberg dynamics integrates d a / dt = 2 i pi N {H, a} for a fixed
-real Hamiltonian H.  Quantization sends the bracket to the commutator, and
-so does each shifted quantization Q_c(a) = quantize_sampled(a(. + c)) for
-the four shifts c in {0, 1}^2: the product kernel is shift-invariant.  The
-four maps together carry the 2N x 2N grids one-to-one onto four copies of
-M_N, with inverse
-
-    a = sum_c dequantize(Q_c(a)) shifted back by c,
-
+real Hamiltonian H.  In the same blocks the bracket is the commutator,
 so in block c the flow is d A_c / dt = 2 i pi N [H_c, A_c] with H_c
 Hermitian.  In the eigenbasis of H_c this right-hand side multiplies entry
 (i, j) by z_ij / dt, z_ij = 2 i pi N dt (E_i - E_j), and one RK4 step
@@ -50,13 +48,11 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, DomainError
-from .quantize import _quantize_grids, quantize_sampled
+from .quantize import quantize_sampled
 from .rep import Representation
 from .symbols import SampledSymbol, TrigPolynomial, _same_rep, sample
-from .wigner import _core
 
 __all__ = [
     "HamiltonianSystem",
@@ -69,28 +65,40 @@ __all__ = [
 ]
 
 
-def _correlation(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """G[d, tau] = sum_x fft_y(a)[x, x + tau + d] ifft_y(b)[x + tau, x + d], indices mod 2N."""
-    side = 2 * n
-    # Tiling the row transforms lets two strided views read the wrapped
-    # indices, so no (2N)^3 index or data array is ever built.
-    rows_a = np.tile(np.fft.fft(a, axis=1), (1, 3))
-    rows_b = np.tile(np.fft.ifft(b, axis=1), (2, 2))
-    (a0, a1), (b0, b1) = rows_a.strides, rows_b.strides
-    view_a = as_strided(rows_a, (side,) * 3, (a0 + a1, a1, a1), writeable=False)  # [x, tau, d]
-    view_b = as_strided(rows_b, (side,) * 3, (b0 + b1, b0, b1), writeable=False)  # [x, tau, d]
-    return np.einsum("xtd,xtd->dt", view_a, view_b)
+def _block_tables(n: int) -> tuple:
+    """Entries and phase of the blocks (see the module notes), on axes (c1, h, i, j):
+    columns[h, i, j] = j - i + hN and rows[c1, h, i, j] = columns + 2i + c1, mod 2N,
+    and twist[i, j] = exp(i pi (j - i) / N)."""
+    k = np.arange(2 * n)
+    columns = (k[:n] - k[:n, None] + k[::n, None, None]) % (2 * n)
+    rows = (columns + 2 * k[:n, None] + k[:2, None, None, None]) % (2 * n)
+    return rows, columns, np.exp((1j * np.pi / n) * k)[columns[0]]
 
 
-def _from_correlation(correlation: np.ndarray) -> np.ndarray:
-    """(a # b)(j, k) = ifft_tau(G[-j, tau])(k) for G the correlation of a and b."""
-    return np.fft.ifft(correlation[-np.arange(len(correlation))], axis=1)
+def _to_blocks(grids: np.ndarray, tables: tuple) -> np.ndarray:
+    """The blocks Q_c of 2N x 2N grids on the last two axes, on new axes (c2, c1) before them."""
+    rows, columns, twist = tables
+    picked = np.fft.fft(grids, axis=-1, norm="forward")[..., rows, columns]
+    even, odd = picked[..., 0, :, :], picked[..., 1, :, :]
+    return np.stack([even + odd, twist * (even - odd)], axis=-4)
+
+
+def _from_blocks(blocks: np.ndarray, tables: tuple) -> np.ndarray:
+    """The grid whose blocks Q_c are blocks[..., c2, c1, :, :], the inverse of _to_blocks."""
+    n = blocks.shape[-1]
+    rows, columns, twist = tables
+    plain, twisted = blocks[..., 0, :, :, :], twist.conj() * blocks[..., 1, :, :, :]
+    spectrum = np.empty(blocks.shape[:-4] + (2 * n, 2 * n), dtype=complex)
+    spectrum[..., rows, columns] = np.stack([plain + twisted, plain - twisted], axis=-3)
+    return n * np.fft.ifft(spectrum, axis=-1)
 
 
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Noncommutative product a # b; quantizes to the operator product."""
     rep = _same_rep(a, b)
-    return SampledSymbol(_from_correlation(_correlation(a.grid, b.grid, rep.dim)), rep)
+    tables = _block_tables(rep.dim)
+    left, right = _to_blocks(np.stack([a.grid, b.grid]), tables)
+    return SampledSymbol(_from_blocks(left @ right, tables), rep)
 
 
 def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
@@ -98,9 +106,9 @@ def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     kernel (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); quantizes to the
     commutator."""
     rep = _same_rep(a, b)
-    n = rep.dim
-    correlation = _correlation(a.grid, b.grid, n) - _correlation(b.grid, a.grid, n)
-    return SampledSymbol(_from_correlation(correlation), rep)
+    tables = _block_tables(rep.dim)
+    left, right = _to_blocks(np.stack([a.grid, b.grid]), tables)
+    return SampledSymbol(_from_blocks(left @ right - right @ left, tables), rep)
 
 
 def poisson_bracket(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
@@ -184,30 +192,6 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
     return propagator @ a @ propagator.conj().T
 
 
-# Shifts c of the four quantization blocks Q_c(a) = quantize_sampled(a(. + c)).
-_SHIFTS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
-
-
-def _shifted(side: int, sign: int) -> tuple:
-    """Row and column indices that read grid(. + sign c) for the four shifts c."""
-    j = np.arange(side)
-    rows = (j[:, None] + sign * _SHIFTS[:, :1, None]) % side  # (4, 2N, 1)
-    columns = (j + sign * _SHIFTS[:, 1:, None]) % side  # (4, 1, 2N)
-    return rows, columns
-
-
-def _to_blocks(grids: np.ndarray) -> np.ndarray:
-    """The four blocks Q_c of 2N x 2N grids on the last two axes, stacked on axis -3."""
-    return _quantize_grids(grids[(..., *_shifted(grids.shape[-1], 1))])
-
-
-def _from_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The grid whose four blocks Q_c are blocks[c], the inverse of _to_blocks."""
-    n = blocks.shape[-1]
-    rows, columns = _shifted(2 * n, -1)
-    return n * _core(blocks)[np.arange(4)[:, None, None], rows, columns].sum(axis=0)
-
-
 def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, steps: int) -> SampledSymbol:
     """Apply steps fixed RK4 steps of size t/steps to d a / dt = 2 i pi N {H, a}.
 
@@ -236,11 +220,12 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     moving[::n, ::n] = False  # modes in {0, N}^2 commute with every symbol
     if not moving.any():
         return start
+    tables = _block_tables(n)
     energy_blocks, start_blocks = _to_blocks(
-        np.stack([np.fft.ifft2(np.where(moving, spectrum, 0)), start.grid])
+        np.stack([np.fft.ifft2(np.where(moving, spectrum, 0)), start.grid]), tables
     )
     energies, vectors = np.linalg.eigh(energy_blocks)
-    reach = 2 * math.pi * n * abs(dt) * float(np.max(energies[:, -1] - energies[:, 0]))
+    reach = 2 * math.pi * n * abs(dt) * float(np.max(energies[..., -1] - energies[..., 0]))
     if reach > 2 * math.sqrt(2):
         raise DomainError(
             f"t={t!r} with steps={steps} is past the RK4 stability limit: "
@@ -249,7 +234,7 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     # R(iy) = 1 - y^2/2 + y^4/24 + i (y - y^3/6) with |R(iy)|^2 = 1 - y^6/72 + y^8/576.
     # Taking the power in polar form, through log1p of |R|^2 - 1, keeps
     # |R|^steps accurate to rounding for any step count.
-    y = (2 * math.pi * n * dt) * (energies[:, :, None] - energies[:, None, :])
+    y = (2 * math.pi * n * dt) * (energies[..., :, None] - energies[..., None, :])
     y2 = y * y
     log_r = 0.5 * np.log1p(y2**3 * (y2 / 576 - 1 / 72)) + 1j * np.arctan2(
         y * (1 - y2 / 6), 1 - y2 / 2 + y2 * y2 / 24
@@ -257,4 +242,4 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     adjoint = vectors.conj().swapaxes(-2, -1)
     # Only the change is transformed back, so rounding stays at the size of the change.
     gain = np.expm1(float(steps) * log_r) * (adjoint @ start_blocks @ vectors)
-    return SampledSymbol(start.grid + _from_blocks(vectors @ gain @ adjoint), rep)
+    return SampledSymbol(start.grid + _from_blocks(vectors @ gain @ adjoint, tables), rep)

@@ -41,18 +41,13 @@ def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
 
     with both grid indices taken mod 2N.
     """
-    return _quantize_grids(sym.grid)
-
-
-def _quantize_grids(grids: np.ndarray) -> np.ndarray:
-    """quantize_sampled on the last two axes of a stack of 2N x 2N grids."""
-    side = grids.shape[-1]
-    n = side // 2
-    f2 = np.fft.fft(grids, axis=-1)
+    n = sym.rep.dim
+    side = 2 * n
+    f2 = np.fft.fft(sym.grid, axis=1)
     row = np.arange(n)[:, None]
     col = np.arange(n)[None, :]
-    first = f2[..., row + col, (col - row) % side]
-    second = f2[..., (row + col + n) % side, (col - row + n) % side]
+    first = f2[row + col, (col - row) % side]
+    second = f2[(row + col + n) % side, (col - row + n) % side]
     return (first + second) / side
 
 

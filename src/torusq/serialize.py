@@ -148,9 +148,12 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
-def _complex_list(values, where: str) -> np.ndarray:
+def _complex_list(values, where: str, count: int | None = None, owner: str = "") -> np.ndarray:
     if not isinstance(values, list):
         raise FormatError(f"{where} must be an array of [re, im] pairs")
+    # The length is checked before any entry is converted.
+    if count is not None and len(values) != count:
+        raise DimensionError(f"{owner} has {len(values)} entries, expected {count}")
     # One conversion when every entry is a list of two JSON numbers; anything
     # else, numeric strings and bools included (numpy would take them), goes
     # to the loop, which names the first bad entry.  Values at the float
@@ -217,10 +220,8 @@ def _lattice_from_json(source, what: str, with_kind: bool = False) -> tuple:
         if kind not in (KIND_STATE_PAIR, KIND_OPERATOR):
             raise FormatError(f"unknown {what} kind {kind!r}")
         tail = (kind,)
-    values = _complex_list(_field(obj, "grid", what), "grid entry")
     side = 2 * dim
-    if values.size != side * side:
-        raise DimensionError(f"{what} grid has {values.size} entries, expected {side * side}")
+    values = _complex_list(_field(obj, "grid", what), "grid entry", side * side, f"{what} grid")
     return (values.reshape(side, side), Representation(theta1, theta2, dim), *tail)
 
 
@@ -244,9 +245,7 @@ def operator_from_json(source) -> np.ndarray:
     dim = _integer(_field(obj, "N", "operator"), "N")
     if dim < 1:
         raise FormatError(f"N must be positive, got {dim}")
-    values = _complex_list(_field(obj, "entries", "operator"), "operator entry")
-    if values.size != dim * dim:
-        raise DimensionError(f"operator has {values.size} entries, expected {dim * dim}")
+    values = _complex_list(_field(obj, "entries", "operator"), "operator entry", dim * dim, "operator")
     return values.reshape(dim, dim)
 
 

@@ -107,6 +107,17 @@ def test_quantize_flag_conflict(tmp_path):
     assert run_cli("quantize", str(src), "--theta2=-2e-12").returncode == 3
 
 
+def test_entry_count_is_exit_3_before_a_bad_entry(tmp_path, capsys):
+    entries = [[0, 0], [0, 0], "x", [0, 0], [0, 0]]
+    sym = tmp_path / "sym.json"
+    sym.write_text(json.dumps({"theta1": 0, "theta2": 0, "N": 1, "grid": entries}))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"N": 1, "entries": entries}))
+    assert cli.main(["quantize", str(sym)]) == 3
+    assert cli.main(["dequantize", str(op)]) == 3
+    assert capsys.readouterr().err.count("has 5 entries, expected") == 2
+
+
 def test_dimension_past_the_bound_is_refused(tmp_path, capsys):
     tp = tmp_path / "tp.json"
     tp.write_text('[{"n1":0,"n2":0,"re":1.0,"im":0.0}]')

@@ -70,7 +70,7 @@ def test_product_matches_literal_sum(dim):
     assert np.max(np.abs(moyal_product(a, b).grid - direct)) < 1e-11
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_bracket_matches_literal_sum(dim):
     rng = np.random.default_rng(200 + dim)
     rep = Representation(0.1, 0.9, dim)
@@ -147,9 +147,10 @@ def test_bracket_with_itself_is_exactly_zero(dim):
     assert np.array_equal(moyal_bracket(a, a).grid, np.zeros((2 * dim, 2 * dim)))
 
 
-def test_homomorphism_at_large_dimension():
+@pytest.mark.parametrize("dim", [32, 128])
+def test_homomorphism_at_large_dimension(dim):
     rng = np.random.default_rng(15)
-    rep = Representation(rng.uniform(), rng.uniform(), 32)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
     a = random_symbol(rng, rep)
     b = random_symbol(rng, rep)
     qa, qb = quantize_sampled(a), quantize_sampled(b)
@@ -157,9 +158,10 @@ def test_homomorphism_at_large_dimension():
     assert np.max(np.abs(quantize_sampled(moyal_bracket(a, b)) - (qa @ qb - qb @ qa))) < 1e-9
 
 
-def test_constant_is_central():
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_constant_is_central(dim):
     rng = np.random.default_rng(11)
-    rep = Representation(0.5, 0.5, 3)
+    rep = Representation(0.5, 0.5, dim)
     one = sample(TrigPolynomial({(0, 0): 1.0}), rep)
     a = random_symbol(rng, rep)
     assert np.max(np.abs(moyal_product(one, a).grid - a.grid)) < 1e-12

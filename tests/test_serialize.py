@@ -133,6 +133,16 @@ def test_lattice_readers_name_their_document():
         wigner_from_json({"N": 1})
 
 
+def test_entry_count_is_checked_before_any_entry():
+    # N = 1 asks for 4 grid entries or 1 operator entry; the string entry
+    # would be a FormatError, but the count is refused before it is read.
+    entries = [[0, 0], [0, 0], "x", [0, 0], [0, 0]]
+    with pytest.raises(DimensionError, match="sampled symbol grid has 5 entries, expected 4"):
+        sampled_from_json({"theta1": 0, "theta2": 0, "N": 1, "grid": entries})
+    with pytest.raises(DimensionError, match="operator has 5 entries, expected 1"):
+        operator_from_json({"N": 1, "entries": entries})
+
+
 def test_operator_round_trip():
     rng = np.random.default_rng(52)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
