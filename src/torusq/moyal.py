@@ -22,7 +22,9 @@ for c2 = 0 and a difference for c2 = 1.  The four maps together carry the
 2N x 2N grids one-to-one onto four copies of M_N: the stacked map is
 sqrt(1/N) times a unitary, so its inverse is N times its adjoint.  For
 each c1 the (h, i, j) above name the entries with row + column = c1 mod 2
-once each, so the adjoint is one assignment and one row inverse DFT.
+once each, so together they read the 4N^2 entries of F2 a in one fixed
+permutation, built once per N; the forward map takes it after the row DFT,
+and the adjoint takes its inverse before one row inverse DFT.
 a # b is the inverse of the four products Q_c(a) Q_c(b), and {a, b} that
 of the four commutators, which makes {a, a} exactly zero.  Each costs
 O(N^3) for the products and O(N^2 log N) for the transforms; the test
@@ -43,15 +45,15 @@ refuses a step past that limit, where the RK4 solution grows without bound.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .quantize import quantize_sampled
-from .rep import Representation
+from .rep import Representation, _finite_real
 from .symbols import SampledSymbol, TrigPolynomial, _same_rep, sample
 
 __all__ = [
@@ -65,40 +67,45 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=8)
 def _block_tables(n: int) -> tuple:
-    """Entries and phase of the blocks (see the module notes), on axes (c1, h, i, j):
-    columns[h, i, j] = j - i + hN and rows[c1, h, i, j] = columns + 2i + c1, mod 2N,
-    and twist[i, j] = exp(i pi (j - i) / N)."""
-    k = np.arange(2 * n)
+    """Read-only tables of the block maps, built once per N (see the module notes): the
+    permutation picks[c1, h, i, j] = rows * 2N + columns, columns = j - i + hN and rows =
+    columns + 2i + c1 mod 2N, its inverse back, and twist[i, j] = exp(i pi (j - i) / N)."""
+    k = np.arange(2 * n, dtype=np.min_scalar_type(-4 * n * n))  # holds every flat index
     columns = (k[:n] - k[:n, None] + k[::n, None, None]) % (2 * n)
-    rows = (columns + 2 * k[:n, None] + k[:2, None, None, None]) % (2 * n)
-    return rows, columns, np.exp((1j * np.pi / n) * k)[columns[0]]
+    picks = (columns + 2 * k[:n, None] + k[:2, None, None, None]) % (2 * n) * (2 * n) + columns
+    back = np.empty(4 * n * n, dtype=k.dtype)
+    back[picks.ravel()] = np.arange(4 * n * n, dtype=k.dtype)
+    tables = picks, back.reshape(2 * n, 2 * n), np.exp((1j * np.pi / n) * k)[columns[0]]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _to_blocks(grids: np.ndarray, tables: tuple) -> np.ndarray:
+def _to_blocks(grids: np.ndarray) -> np.ndarray:
     """The blocks Q_c of 2N x 2N grids on the last two axes, on new axes (c2, c1) before them."""
-    rows, columns, twist = tables
-    picked = np.fft.fft(grids, axis=-1, norm="forward")[..., rows, columns]
+    picks, _, twist = _block_tables(grids.shape[-1] // 2)
+    picked = np.fft.fft(grids, axis=-1, norm="forward").reshape(grids.shape[:-2] + (-1,)).take(picks, axis=-1)
     even, odd = picked[..., 0, :, :], picked[..., 1, :, :]
     return np.stack([even + odd, twist * (even - odd)], axis=-4)
 
 
-def _from_blocks(blocks: np.ndarray, tables: tuple) -> np.ndarray:
+def _from_blocks(blocks: np.ndarray) -> np.ndarray:
     """The grid whose blocks Q_c are blocks[..., c2, c1, :, :], the inverse of _to_blocks."""
     n = blocks.shape[-1]
-    rows, columns, twist = tables
+    _, back, twist = _block_tables(n)
     plain, twisted = blocks[..., 0, :, :, :], twist.conj() * blocks[..., 1, :, :, :]
-    spectrum = np.empty(blocks.shape[:-4] + (2 * n, 2 * n), dtype=complex)
-    spectrum[..., rows, columns] = np.stack([plain + twisted, plain - twisted], axis=-3)
+    spectrum = np.stack([plain + twisted, plain - twisted], axis=-3).reshape(blocks.shape[:-4] + (-1,))
+    spectrum = spectrum.take(back, axis=-1)
     return n * np.fft.ifft(spectrum, axis=-1)
 
 
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Noncommutative product a # b; quantizes to the operator product."""
     rep = _same_rep(a, b)
-    tables = _block_tables(rep.dim)
-    left, right = _to_blocks(np.stack([a.grid, b.grid]), tables)
-    return SampledSymbol(_from_blocks(left @ right, tables), rep)
+    left, right = _to_blocks(np.stack([a.grid, b.grid]))
+    return SampledSymbol(_from_blocks(left @ right), rep)
 
 
 def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
@@ -106,9 +113,8 @@ def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     kernel (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); quantizes to the
     commutator."""
     rep = _same_rep(a, b)
-    tables = _block_tables(rep.dim)
-    left, right = _to_blocks(np.stack([a.grid, b.grid]), tables)
-    return SampledSymbol(_from_blocks(left @ right - right @ left, tables), rep)
+    left, right = _to_blocks(np.stack([a.grid, b.grid]))
+    return SampledSymbol(_from_blocks(left @ right - right @ left), rep)
 
 
 def poisson_bracket(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
@@ -164,22 +170,13 @@ class HamiltonianSystem:
         return quantize_sampled(self.hamiltonian)
 
 
-def _require_real_time(t) -> None:
-    try:
-        finite = isinstance(t, Real) and not isinstance(t, bool) and math.isfinite(t)
-    except OverflowError:  # an integer past the float range
-        finite = False
-    if not finite:
-        raise DomainError(f"t must be a finite real number, got {t!r}")
-
-
 def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray:
     """Heisenberg evolution A(t) = exp(+2 i pi N t H) A exp(-2 i pi N t H).
 
     Uses the eigendecomposition of the quantized Hamiltonian, so the result
     is exact up to diagonalization error at any t whose phases stay finite.
     """
-    _require_real_time(t)
+    _finite_real(t, "t")
     a = np.asarray(operator, dtype=complex)
     n = system.rep.dim
     if a.shape != (n, n):
@@ -209,7 +206,7 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     rep = _same_rep(system, start)
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise DomainError(f"steps must be a positive integer, got {steps!r}")
-    _require_real_time(t)
+    _finite_real(t, "t")
     try:
         dt = float(t) / int(steps)
     except OverflowError:  # a step count past the float range
@@ -220,9 +217,8 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     moving[::n, ::n] = False  # modes in {0, N}^2 commute with every symbol
     if not moving.any():
         return start
-    tables = _block_tables(n)
     energy_blocks, start_blocks = _to_blocks(
-        np.stack([np.fft.ifft2(np.where(moving, spectrum, 0)), start.grid]), tables
+        np.stack([np.fft.ifft2(np.where(moving, spectrum, 0)), start.grid])
     )
     energies, vectors = np.linalg.eigh(energy_blocks)
     reach = 2 * math.pi * n * abs(dt) * float(np.max(energies[..., -1] - energies[..., 0]))
@@ -242,4 +238,4 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     adjoint = vectors.conj().swapaxes(-2, -1)
     # Only the change is transformed back, so rounding stays at the size of the change.
     gain = np.expm1(float(steps) * log_r) * (adjoint @ start_blocks @ vectors)
-    return SampledSymbol(start.grid + _from_blocks(vectors @ gain @ adjoint, tables), rep)
+    return SampledSymbol(start.grid + _from_blocks(vectors @ gain @ adjoint), rep)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -23,6 +24,16 @@ __all__ = [
 ]
 
 
+def _finite_real(value, name: str) -> float:
+    """value as a float; DomainError unless it is a finite real number (bools excluded)."""
+    try:
+        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise DomainError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Representation:
     """Label (theta1, theta2, dim) of an N-dimensional unitary representation.
@@ -30,7 +41,7 @@ class Representation:
     Both theta components are reduced mod 1 on construction, so two labels
     compare equal exactly when their reduced values coincide bit for bit.
     A dim that is not an integer of at least 1 raises DimensionError, and a
-    non-finite theta raises DomainError.
+    theta that is not a finite real number raises DomainError.
     """
 
     theta1: float
@@ -44,10 +55,7 @@ class Representation:
             raise DimensionError(f"dim must be at least 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
         for name in ("theta1", "theta2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-            value %= 1.0
+            value = _finite_real(getattr(self, name), name) % 1.0
             if value >= 1.0:
                 # Python's float mod can round up to the divisor for tiny
                 # negative inputs; fold that case back to 0.

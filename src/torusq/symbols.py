@@ -201,8 +201,14 @@ def symmetric_extension(block: np.ndarray) -> np.ndarray:
     b = np.asarray(block, dtype=complex)
     if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
         raise DimensionError(f"principal block must be square, got shape {b.shape}")
-    s1, s2, s3 = _ghost_signs(b.shape[-1])
-    return np.block([[b, s2 * b], [s1 * b, s3 * b]])
+    n = b.shape[-1]
+    s1, s2, s3 = _ghost_signs(n)
+    grid = np.empty(b.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    grid[..., :n, :n] = b
+    np.multiply(s2, b, out=grid[..., :n, n:])
+    np.multiply(s1, b, out=grid[..., n:, :n])
+    np.multiply(s3, b, out=grid[..., n:, n:])
+    return grid
 
 
 def delta(sym: SampledSymbol) -> np.ndarray:

@@ -69,7 +69,7 @@ def _core(a: np.ndarray) -> np.ndarray:
     n = len(a)
     r = np.arange(n)[:, None]
     l = np.arange(n)[None, :]
-    twist = np.exp(1j * np.pi * ((r * l) % (2 * n)) / n)
+    twist = np.exp(1j * np.pi * np.arange(2 * n) / n)[(r * l) % (2 * n)]
     return symmetric_extension(twist * np.fft.fft(a[l, (r - l) % n], axis=1) / (2 * n))
 
 

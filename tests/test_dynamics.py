@@ -16,6 +16,7 @@ from torusq import (
     quantize_sampled,
     sample,
 )
+from torusq.moyal import _block_tables, _from_blocks, _to_blocks
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -214,6 +215,7 @@ def assert_bracket_is_twisted(energy, grid, dim):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_twisted_generator_matches_fft_bracket(dim):
+    # moyal_bracket against the twisted convolution, for 1 to 4N + 1 modes of H.
     rng = np.random.default_rng(300 + dim)
     side = 2 * dim
     for modes in range(1, min(4 * dim + 1, side * side) + 1):
@@ -224,7 +226,8 @@ def test_twisted_generator_matches_fft_bracket(dim):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_twisted_generator_on_aliased_trig_frequencies(dim):
-    # (2N+1, 3) and (1, 3 + 2N) alias to the lattice mode (1, 3) mod 2N
+    # moyal_bracket against the twisted convolution, on trig frequencies
+    # (2N+1, 3) and (1, 3 + 2N) that alias to the lattice mode (1, 3) mod 2N
     rng = np.random.default_rng(400 + dim)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
     side = 2 * dim
@@ -274,7 +277,8 @@ def random_start(rng, rep):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_folded_steps_match_step_loop(dim):
-    # evolve_symbol folds the steps into the powers R(z)^steps.
+    # evolve_symbol, which takes the steps as the powers R(z)^steps, against
+    # the RK4 loop over moyal_bracket.
     for make_system in (generic_system, dense_system):
         system, rng = make_system(dim, 700 + dim)
         assert_matches_rk4_loop(system, random_start(rng, system.rep), 0.5, 200)
@@ -295,9 +299,9 @@ def test_route_boundary_tracks_operator_route(dim):
         assert np.max(np.abs(stepped - exact)) < 1e-6
 
 
-def test_rebuilt_blocks_match_fft_bracket():
-    # The grid rebuilt from its four evolved blocks at N = 64, for K = 6, N/2
-    # and N/2 + 2 modes, against RK4 steps over the FFT bracket.
+def test_evolve_symbol_matches_rk4_loop_at_large_dimension():
+    # evolve_symbol at N = 64, for K = 6, N/2 and N/2 + 2 modes, against the
+    # RK4 loop over moyal_bracket.
     dim = 64
     rng = np.random.default_rng(600)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
@@ -325,6 +329,27 @@ def test_four_blocks_split_kernel_and_dequantized_grids(dim):
     for c1, c2 in ((1, 0), (0, 1), (1, 1)):
         assert np.max(np.abs(block(canonical, rep, c1, c2))) <= 1e-12 * np.max(np.abs(canonical))
     assert np.max(np.abs(block(canonical, rep, 0, 0) - operator)) <= 1e-12 * np.max(np.abs(operator))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_block_transform_matches_shifted_quantizations(dim):
+    # The cached permutation tables against block(), built from quantize_sampled.
+    rng = np.random.default_rng(1100 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    side = 2 * dim
+    grids = rng.standard_normal((2, side, side)) + 1j * rng.standard_normal((2, side, side))
+    blocks = _to_blocks(grids)
+    assert blocks.shape == (2, 2, 2, dim, dim)
+    for grid, stacked in zip(grids, blocks):
+        for c1, c2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            expected = block(grid, rep, c1, c2)
+            assert np.max(np.abs(stacked[c2, c1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(_from_blocks(blocks) - grids)) <= 1e-14 * np.max(np.abs(grids))
+    picks, back, twist = _block_tables(dim)
+    assert np.array_equal(np.sort(picks, axis=None), np.arange(side * side))
+    assert np.array_equal(picks.ravel()[back], np.arange(side * side).reshape(side, side))
+    assert not any(table.flags.writeable for table in (picks, back, twist))
+    assert _block_tables(dim) is _block_tables(dim)
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,22 @@ def test_non_finite_theta_is_a_domain_error(theta):
         Representation(0.0, theta, 2)
 
 
+@pytest.mark.parametrize(
+    "theta", ["0.5", 1j, None, 10**400, np.complex128(0.5), True, False],
+    ids=["string", "complex", "none", "past-float-range", "numpy-complex", "true", "false"],
+)
+def test_theta_must_be_a_finite_real_number(theta):
+    with pytest.raises(DomainError, match="must be a finite real number"):
+        Representation(theta, 0.0, 2)
+    with pytest.raises(DomainError, match="must be a finite real number"):
+        Representation(0.0, theta, 2)
+
+
+def test_real_number_types_are_accepted():
+    for theta in (0, 3, np.int64(2), np.float32(0.25), np.float64(0.75)):
+        assert Representation(theta, theta, 2).theta1 == float(theta) % 1.0
+
+
 def test_identity_element():
     rep = Representation(0.12, 0.98, 4)
     assert np.allclose(heisenberg(rep, 0, 0), np.eye(4), atol=1e-15)
