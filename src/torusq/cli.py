@@ -5,6 +5,7 @@ an operator file, build Wigner tables from state vectors, integrate
 Heisenberg dynamics on the symbol side, and run the acceptance battery.
 Exit codes: 0 success, 1 failed selftest, 2 unreadable or malformed
 input or command line, 3 inconsistent dimensions, 4 out-of-domain data.
+main maps each refused exception class to its code through EXIT_CODES.
 """
 from __future__ import annotations
 
@@ -24,6 +25,9 @@ from .rep import Representation
 from .selftest import DEFAULT_SEED, format_result, run
 from .symbols import sample
 from .wigner import check_symmetries, marginal_p, marginal_x, wigner_state
+
+# Exit code of each refusal; an OSError subclass (a missing file, a directory) takes OSError's.
+EXIT_CODES = {FormatError: 2, OSError: 2, DimensionError: 3, DomainError: 4}
 
 # Largest N the command line accepts; one 2N x 2N complex grid is then 268 MB.
 MAX_DIM = 2048
@@ -47,7 +51,7 @@ def _deliver(text: str, path) -> None:
 def _rep_from_flags(args, dim: int) -> Representation:
     """Representation of the --theta1/--theta2 flags (0 when absent) and dim.
 
-    A dim past MAX_DIM is refused here, before any 2N x 2N grid is allocated.
+    A dim past MAX_DIM is refused here; only a sampled symbol file's own grid is built before that.
     """
     if dim > MAX_DIM:
         raise DomainError(f"N={dim} exceeds the supported maximum {MAX_DIM}")
@@ -239,18 +243,9 @@ def main(argv=None) -> int:
         # (exit 4), so numpy's overflow warnings would only clutter stderr.
         with np.errstate(all="ignore"):
             return args.handler(args)
-    except FormatError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

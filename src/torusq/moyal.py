@@ -51,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .quantize import quantize_sampled
-from .rep import Representation, _finite_real
+from .rep import Representation, _check_operator, _finite_real
 from .symbols import SampledSymbol, TrigPolynomial, _same_rep, sample
 
 __all__ = [
@@ -177,10 +177,8 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
     is exact up to diagonalization error at any t whose phases stay finite.
     """
     _finite_real(t, "t")
-    a = np.asarray(operator, dtype=complex)
+    a = _check_operator(system.rep, operator)
     n = system.rep.dim
-    if a.shape != (n, n):
-        raise DimensionError(f"operator must be {n} x {n}, got shape {a.shape}")
     energies, vectors = np.linalg.eigh(system.operator())
     phases = 2 * np.pi * n * t * energies
     if not np.all(np.isfinite(phases)):

@@ -63,6 +63,14 @@ class Representation:
             object.__setattr__(self, name, value)
 
 
+def _check_operator(rep: Representation, operator) -> np.ndarray:
+    """operator as a complex array; DimensionError unless it is rep.dim x rep.dim."""
+    a = np.asarray(operator, dtype=complex)
+    if a.shape != (rep.dim, rep.dim):
+        raise DimensionError(f"operator must be {rep.dim} x {rep.dim}, got shape {a.shape}")
+    return a
+
+
 def heisenberg(rep: Representation, n1: int, n2: int) -> np.ndarray:
     """Matrix of the group element (n1, n2) in the representation rep.
 

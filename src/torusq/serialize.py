@@ -42,17 +42,8 @@ __all__ = [
 _NON_FINITE = "cannot serialize a non-finite number"
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise DomainError(_NON_FINITE)
-    return format(float(x), ".17g")
-
-
 def _format_rows(row: str, table: np.ndarray, sep: str = "") -> str:
-    """Each row of a real table through the %-template row, joined by sep.
-
-    %.17g writes the same digits as _format_float.
-    """
+    """Each row of a real table through the %-template row, joined by sep."""
     if not np.all(np.isfinite(table)):
         raise DomainError(_NON_FINITE)
     return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
@@ -66,7 +57,7 @@ def _emit(obj, parts: list):
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
+        parts.append(_format_rows("%.17g", np.array([[obj]], dtype=float)))
     elif isinstance(obj, np.ndarray):
         flat = np.asarray(obj, dtype=complex).ravel()
         pairs = np.column_stack((flat.real, flat.imag))

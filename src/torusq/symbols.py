@@ -194,20 +194,17 @@ def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
 
 
 def symmetric_extension(block: np.ndarray) -> np.ndarray:
-    """Extend an N x N principal block to the 2N x 2N grid via S1 to S3 (delta's adjoint).
-
-    Leading axes are a stack of blocks, each extended on its own.
-    """
+    """Extend an N x N principal block to the 2N x 2N grid via S1 to S3 (delta's adjoint)."""
     b = np.asarray(block, dtype=complex)
-    if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionError(f"principal block must be square, got shape {b.shape}")
-    n = b.shape[-1]
+    n = len(b)
     s1, s2, s3 = _ghost_signs(n)
-    grid = np.empty(b.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-    grid[..., :n, :n] = b
-    np.multiply(s2, b, out=grid[..., :n, n:])
-    np.multiply(s1, b, out=grid[..., n:, :n])
-    np.multiply(s3, b, out=grid[..., n:, n:])
+    grid = np.empty((2 * n, 2 * n), dtype=complex)
+    grid[:n, :n] = b
+    np.multiply(s2, b, out=grid[:n, n:])
+    np.multiply(s1, b, out=grid[n:, :n])
+    np.multiply(s3, b, out=grid[n:, n:])
     return grid
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .rep import Representation, heisenberg
+from .rep import Representation, _check_operator, heisenberg
 from .symbols import SampledSymbol, _frozen_grid, symmetric_extension
 
 __all__ = [
@@ -96,12 +96,7 @@ def wigner_operator(rep: Representation, operator) -> WignerTable:
 
     W(r, s) = (1/2N) sum_{l in Z_N} A[l, r - l] exp(-i pi (2l - r) s / N).
     """
-    a = np.asarray(operator, dtype=complex)
-    if a.shape != (rep.dim, rep.dim):
-        raise DimensionError(
-            f"operator must be {rep.dim} x {rep.dim}, got shape {a.shape}"
-        )
-    return WignerTable(_core(a), rep, KIND_OPERATOR)
+    return WignerTable(_core(_check_operator(rep, operator)), rep, KIND_OPERATOR)
 
 
 def marginal_x(table: WignerTable) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_entry_count_is_exit_3_before_a_bad_entry(tmp_path, capsys):
     assert capsys.readouterr().err.count("has 5 entries, expected") == 2
 
 
-def test_dimension_past_the_bound_is_refused(tmp_path, capsys):
+def test_dimension_past_the_bound_is_refused(tmp_path, capsys, monkeypatch):
     tp = tmp_path / "tp.json"
     tp.write_text('[{"n1":0,"n2":0,"re":1.0,"im":0.0}]')
     state = tmp_path / "psi.json"
@@ -127,6 +127,14 @@ def test_dimension_past_the_bound_is_refused(tmp_path, capsys):
     assert cli.main(["wigner", str(state)]) == 4
     err = capsys.readouterr().err
     assert err.count(f"exceeds the supported maximum {cli.MAX_DIM}") == 2
+    # A sampled symbol file is parsed whole before its N meets the bound.
+    sym = tmp_path / "sym.json"
+    start = sample(TrigPolynomial({(1, 0): 1.0}), Representation(0.0, 0.0, 3))
+    sym.write_text(serialize.sampled_to_json(start))
+    monkeypatch.setattr(cli, "MAX_DIM", 2)
+    assert cli.main(["quantize", str(sym)]) == 4
+    assert cli.main(["evolve", str(tp), str(sym), "--t", "0.1"]) == 4
+    assert capsys.readouterr().err.count("exceeds the supported maximum 2") == 2
 
 
 def test_quantize_route_needs_trig_input(tmp_path):

@@ -8,6 +8,7 @@ from torusq import (
     Representation,
     SampledSymbol,
     TrigPolynomial,
+    delta,
     dequantize,
     evolve_operator,
     evolve_symbol,
@@ -329,6 +330,16 @@ def test_four_blocks_split_kernel_and_dequantized_grids(dim):
     for c1, c2 in ((1, 0), (0, 1), (1, 1)):
         assert np.max(np.abs(block(canonical, rep, c1, c2))) <= 1e-12 * np.max(np.abs(canonical))
     assert np.max(np.abs(block(canonical, rep, 0, 0) - operator)) <= 1e-12 * np.max(np.abs(operator))
+    # The same split through the cached block transform, both ways.
+    blocks = _to_blocks(canonical)
+    assert np.max(np.abs(blocks[0, 0] - operator)) <= 1e-12 * np.max(np.abs(operator))
+    for c2, c1 in ((0, 1), (1, 0), (1, 1)):
+        assert np.max(np.abs(blocks[c2, c1])) <= 1e-12 * np.max(np.abs(operator))
+    blocks = rng.standard_normal((2, 2, dim, dim)) + 1j * rng.standard_normal((2, 2, dim, dim))
+    blocks[0, 0] = 0
+    unseen = SampledSymbol(_from_blocks(blocks), rep)
+    assert np.max(np.abs(quantize_sampled(unseen))) <= 1e-12 * np.max(np.abs(blocks))
+    assert np.max(np.abs(delta(unseen))) <= 1e-12 * np.max(np.abs(blocks))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))

@@ -42,10 +42,13 @@ def test_dumps_round_trips_doubles():
     assert dumps([1.0 / 3.0]) == "[0.33333333333333331]"
     for x in (0.1, 1e-300, 1234.5678e21, -7.25):
         assert float(dumps(x)) == x
+    # A float alone and a float inside an array go through the same template.
+    for x in (0.1, -0.0, 5e-324, 1.7976931348623157e308):
+        assert dumps(np.array([x])) == f"[[{dumps(x)},0]]"
 
 
 def test_dumps_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^cannot serialize a non-finite number$"):
         dumps(float("nan"))
     with pytest.raises(ValueError):
         dumps([float("inf")])

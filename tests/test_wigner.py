@@ -246,3 +246,5 @@ def test_table_validation():
 def test_symmetric_extension_requires_square_block():
     with pytest.raises(DimensionError):
         symmetric_extension(np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match="principal block must be square"):
+        symmetric_extension(np.zeros((2, 3, 3)))
