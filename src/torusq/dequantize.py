@@ -106,8 +106,6 @@ def big_pauli_symbol(rep: Representation, r: int, s: int) -> TrigPolynomial:
         raise DimensionError(f"indices must lie in 0..{2 * n - 1}, got ({r}, {s})")
     x = r / (2 * n) + rep.theta1 / n
     p = s / (2 * n) + rep.theta2 / n
-    coeffs = {}
-    for k in range(2 * n):
-        for m in range(2 * n):
-            coeffs[(k, m)] = np.exp(-2j * np.pi * (k * x + m * p)) / (2 * n)
-    return TrigPolynomial(coeffs)
+    return TrigPolynomial(
+        {(k, m): np.exp(-2j * np.pi * (k * x + m * p)) / (2 * n) for k in range(2 * n) for m in range(2 * n)}
+    )

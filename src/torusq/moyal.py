@@ -39,9 +39,12 @@ multiplies it by R(z_ij) = 1 + z + z^2/2 + z^3/6 + z^4/24.  evolve_symbol
 therefore applies steps RK4 steps exactly as R(z_ij)^steps, at the cost of
 one batched eigh of four N x N matrices, a few N x N products and
 O(N^2 log N) transforms, whatever the step count or the number of Fourier
-modes of H.  Only rounding differs from stepping the bracket by hand.  For
-imaginary z, |R(z)| <= 1 exactly when |z| <= 2 sqrt(2); evolve_symbol
-refuses a step past that limit, where the RK4 solution grows without bound.
+modes of H.  Only rounding differs from stepping the bracket by hand.
+Dropping the modes of H below 1e-13 of the largest first makes zero,
+constant and central Hamiltonians exact, and removes the rounding that a
+large constant c leaves in every mode, which kept would enter E_i - E_j at
+about eps |c|.  For imaginary z, |R(z)| <= 1 exactly when |z| <= 2 sqrt(2);
+evolve_symbol refuses a step past that limit, where RK4 grows without bound.
 """
 from __future__ import annotations
 
@@ -149,8 +152,9 @@ def semiclassical_residual(a: TrigPolynomial, b: TrigPolynomial, rep: Representa
 class HamiltonianSystem:
     """A real Hamiltonian grid on the lattice of a representation.
 
-    The grid must be real up to 1e-12 relative to its magnitude, which makes
-    the quantized Hamiltonian Hermitian.  The representation is the grid's.
+    The grid must be real, |imag| <= 1e-12 max(1, max |grid|), which makes the
+    quantized Hamiltonian Hermitian; below magnitude 1 that limit is absolute, so
+    a grid of scale 1e-20 may carry a 1e-14 imaginary part.  The rep is the grid's.
     """
 
     hamiltonian: SampledSymbol
@@ -196,10 +200,11 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     blocks H_c of H (see the module notes): entry (i, j) of each block of
     the start gains the factor R(z_ij)^steps.  Fourier modes of H below
     1e-13 of the largest, and those with both indices in {0, N}, which
-    commute with every symbol, are dropped first; a Hamiltonian with no
-    other mode returns the start grid bit for bit.  A step with
-    2 pi N |t/steps| (E_max - E_min) > 2 sqrt(2) in some block is past RK4's
-    stability limit and raises DomainError.
+    commute with every symbol, are dropped first; a Hamiltonian with no other
+    mode returns the start grid bit for bit.  The threshold also drops the
+    rounding a large constant c leaves in every mode, which kept would enter
+    E_i - E_j at about eps |c|.  A step past RK4's stability limit,
+    2 pi N |t/steps| (E_max - E_min) > 2 sqrt(2) in some block, raises DomainError.
     """
     rep = _same_rep(system, start)
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:

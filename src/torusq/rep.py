@@ -112,46 +112,23 @@ def check_representation_laws(rep: Representation, samples) -> dict:
       periodicity_n   t1^(n1 + m1 N) = exp(2 i pi m1 theta1) t1^n1, same for t2
     """
     n = rep.dim
-    worst = {
-        "adjoint": 0.0,
-        "product": 0.0,
-        "commutation": 0.0,
-        "periodicity_2n": 0.0,
-        "periodicity_n": 0.0,
-    }
-
-    def dev(a, b):
-        return float(np.max(np.abs(a - b)))
-
+    worst = dict.fromkeys(("adjoint", "product", "commutation", "periodicity_2n", "periodicity_n"), 0.0)
     for n1, n2, m1, m2 in samples:
         t_n = heisenberg(rep, n1, n2)
-        t_m = heisenberg(rep, m1, m2)
-
-        worst["adjoint"] = max(worst["adjoint"], dev(t_n.conj().T, heisenberg(rep, -n1, -n2)))
-
-        cocycle = np.exp(-1j * np.pi * (n1 * m2 - n2 * m1) / n)
-        worst["product"] = max(
-            worst["product"], dev(t_n @ t_m, cocycle * heisenberg(rep, n1 + m1, n2 + m2))
-        )
-
         # Powers of the generators are themselves group elements, so negative
         # exponents never require a matrix inverse.
         p1 = heisenberg(rep, n1, 0)
         p2 = heisenberg(rep, 0, n2)
-        worst["commutation"] = max(
-            worst["commutation"], dev(p1 @ p2, np.exp(-2j * np.pi * n1 * n2 / n) * p2 @ p1)
-        )
-
+        cocycle = np.exp(-1j * np.pi * (n1 * m2 - n2 * m1) / n)
         phase_2n = np.exp(2j * np.pi * (2 * m1 * rep.theta1 + 2 * m2 * rep.theta2))
-        worst["periodicity_2n"] = max(
-            worst["periodicity_2n"],
-            dev(heisenberg(rep, n1 + 2 * n * m1, n2 + 2 * n * m2), phase_2n * t_n),
+        laws = (
+            ("adjoint", t_n.conj().T, heisenberg(rep, -n1, -n2)),
+            ("product", t_n @ heisenberg(rep, m1, m2), cocycle * heisenberg(rep, n1 + m1, n2 + m2)),
+            ("commutation", p1 @ p2, np.exp(-2j * np.pi * n1 * n2 / n) * p2 @ p1),
+            ("periodicity_2n", heisenberg(rep, n1 + 2 * n * m1, n2 + 2 * n * m2), phase_2n * t_n),
+            ("periodicity_n", heisenberg(rep, n1 + m1 * n, 0), np.exp(2j * np.pi * m1 * rep.theta1) * p1),
+            ("periodicity_n", heisenberg(rep, 0, n2 + m2 * n), np.exp(2j * np.pi * m2 * rep.theta2) * p2),
         )
-
-        worst["periodicity_n"] = max(
-            worst["periodicity_n"],
-            dev(heisenberg(rep, n1 + m1 * n, 0), np.exp(2j * np.pi * m1 * rep.theta1) * p1),
-            dev(heisenberg(rep, 0, n2 + m2 * n), np.exp(2j * np.pi * m2 * rep.theta2) * p2),
-        )
-
+        for name, lhs, rhs in laws:
+            worst[name] = max(worst[name], float(np.max(np.abs(lhs - rhs))))
     return worst

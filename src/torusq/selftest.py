@@ -120,12 +120,10 @@ def _criterion_pauli_tables(rng):
 
 def _criterion_generator_dictionary(rng):
     """sigma_z, sigma_x, sigma_y arise from group elements with the theta phases."""
-    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-    sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
     worst = 0.0
     for _ in range(20):
         rep = _random_rep(rng, 2)
+        _, sigma_x, sigma_y, sigma_z = pauli(rep)
         t1, t2 = rep.theta1, rep.theta2
         worst = max(
             worst,

@@ -6,7 +6,9 @@ as the integer 0, so it comes back as +0.0), and field order is fixed, so
 identical inputs always produce byte-identical output.  A numpy array is
 written as the flat list of [re, im] pairs of its entries in row-major
 order.  Loaders validate the schema and raise FormatError for malformed
-documents, DimensionError for internally inconsistent sizes.
+documents, DimensionError for internally inconsistent sizes; trig_from_json
+raises DomainError for a frequency of magnitude 2**53 or more, and dumps
+for a non-finite number.
 """
 from __future__ import annotations
 
@@ -49,47 +51,28 @@ def _format_rows(row: str, table: np.ndarray, sep: str = "") -> str:
     return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
 
 
-def _emit(obj, parts: list):
-    if isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_rows("%.17g", np.array([[obj]], dtype=float)))
-    elif isinstance(obj, np.ndarray):
-        flat = np.asarray(obj, dtype=complex).ravel()
-        pairs = np.column_stack((flat.real, flat.imag))
-        parts.append("[" + _format_rows("[%.17g,%.17g]", pairs, ",") + "]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key)))
-            parts.append(":")
-            _emit(value, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(value, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
     """Serialize to JSON text with fixed field order and 17-digit floats.
 
     A numpy array becomes the flat list of [re, im] pairs of its entries.
     """
-    parts: list = []
-    _emit(obj, parts)
-    return "".join(parts)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_rows("%.17g", np.array([[obj]], dtype=float))
+    if isinstance(obj, np.ndarray):
+        flat = np.asarray(obj, dtype=complex).ravel()
+        pairs = np.column_stack((flat.real, flat.imag))
+        return "[" + _format_rows("[%.17g,%.17g]", pairs, ",") + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(key)) + ":" + dumps(value) for key, value in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(dumps, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _reject_constant(name):

@@ -456,3 +456,19 @@ def test_million_steps_match_exact_flow(dim):
         exact = evolve_operator(system, a, 1.0)
         stepped = quantize_sampled(evolve_symbol(system, dequantize(system.rep, a), 1.0, 10**6))
         assert np.max(np.abs(stepped - exact)) < 1e-10
+
+
+def test_large_constant_leaves_the_flow_unchanged():
+    # A constant commutes with every symbol, but its rounding reaches every
+    # Fourier mode of the grid.  Kept in the blocks, that rounding would enter
+    # the energy differences at about eps * 1e6; the mode threshold drops it.
+    energy = {(1, 0): 0.2, (-1, 0): 0.2, (0, 1): 0.1, (0, -1): 0.1}
+    for seed in range(10):
+        rng = np.random.default_rng(1000 + seed)
+        rep = Representation(rng.uniform(), rng.uniform(), 16)
+        start = random_start(rng, rep)
+        plain, shifted = (
+            evolve_symbol(HamiltonianSystem(sample(TrigPolynomial(h), rep)), start, 1.0, 1000).grid
+            for h in (energy, {**energy, (0, 0): 1e6})
+        )
+        assert np.max(np.abs(shifted - plain)) <= 1.5e-8 * np.max(np.abs(plain))

@@ -35,6 +35,12 @@ def test_dumps_is_deterministic():
     doc = {"N": 2, "grid": [[0.5, -1.0]], "name": "x"}
     assert dumps(doc) == dumps(doc)
     assert dumps(doc) == '{"N":2,"grid":[[0.5,-1]],"name":"x"}'
+    # Branches no document kind reaches: bools before ints, tuples as lists,
+    # numpy scalars, empty containers and non-string keys.
+    doc = {"flags": (True, False), 7: np.int64(-3), "f": np.float32(0.1), "empty": [{}, []]}
+    assert dumps(doc) == '{"flags":[true,false],"7":-3,"f":0.10000000149011612,"empty":[{},[]]}'
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        dumps(object())
 
 
 def test_dumps_round_trips_doubles():
