@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .rep import Representation
-from .symbols import SampledSymbol, TrigPolynomial, delta
-from .wigner import wigner_operator
+from .rep import Representation, _check_operator
+from .symbols import SampledSymbol, TrigPolynomial, _handed_over, delta
+from .wigner import _core
 
 __all__ = [
     "dequantize",
@@ -30,8 +30,8 @@ __all__ = [
 
 def dequantize(rep: Representation, operator) -> SampledSymbol:
     """Canonical symbol of an operator: N times its Wigner table."""
-    table = wigner_operator(rep, operator)
-    return SampledSymbol(rep.dim * table.grid, rep)
+    grid = _core(_check_operator(rep, operator))
+    return SampledSymbol(_handed_over(np.multiply(rep.dim, grid, out=grid)), rep)
 
 
 def canonical_class(rep: Representation, operator) -> np.ndarray:

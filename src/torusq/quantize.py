@@ -5,14 +5,15 @@ elements weighted by the Fourier coefficients of a trigonometric
 polynomial, while the sampled route reads the matrix elements directly off
 the lattice grid through a 2N-point discrete Fourier transform of each grid
 row.  That transform, and the one inverting the reduced symbol, are numpy
-FFTs followed by a single gather, so both cost O(N^2 log N).
+FFTs, each read by one flat take at indices row * width + column of its
+raveled output, so both cost O(N^2 log N).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionError
-from .rep import Representation, heisenberg
+from .rep import Representation, _group_sum
 from .symbols import SampledSymbol, TrigPolynomial
 
 __all__ = [
@@ -24,11 +25,8 @@ __all__ = [
 
 
 def quantize_fourier(tp: TrigPolynomial, rep: Representation) -> np.ndarray:
-    """Operator sum_n c[n] T(n1, n2) built from the Fourier coefficients of tp."""
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for (n1, n2), c in tp.items():
-        out += c * heisenberg(rep, n1, n2)
-    return out
+    """Operator sum_n c[n] T(n1, n2) from the Fourier coefficients of tp, in O(T N + N^2) without a grid."""
+    return _group_sum(rep, tp.items())
 
 
 def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
@@ -43,12 +41,11 @@ def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
     """
     n = sym.rep.dim
     side = 2 * n
-    f2 = np.fft.fft(sym.grid, axis=1)
-    row = np.arange(n)[:, None]
-    col = np.arange(n)[None, :]
-    first = f2[row + col, (col - row) % side]
-    second = f2[(row + col + n) % side, (col - row + n) % side]
-    return (first + second) / side
+    f2 = np.fft.fft(sym.grid, axis=1).ravel()
+    row, col = np.arange(n)[:, None], np.arange(n)
+    out = f2.take((row + col) * side + (col - row) % side)
+    out += f2.take((row + col + n) % side * side + (col - row + n) % side)
+    return np.divide(out, side, out=out)
 
 
 def adjoint_symbol(sym: SampledSymbol) -> SampledSymbol:
@@ -75,8 +72,6 @@ def operator_from_reduced(reduced: np.ndarray) -> np.ndarray:
     n = red.shape[0]
     # rows[k, t] = (1 / 2N) sum_s red[k, s] exp(i pi s t / N); the wrap sign
     # is the N-shift t -> t + N of the column read.
-    rows = np.fft.ifft(red, n=2 * n, axis=1)
-    m = np.arange(n)[:, None]
-    l = np.arange(n)[None, :]
-    wrap = (m + l) >= n
-    return rows[(m + l) % n, (m - l + n * wrap) % (2 * n)]
+    rows = np.fft.ifft(red, n=2 * n, axis=1).ravel()
+    m, l = np.arange(n)[:, None], np.arange(n)
+    return rows.take((m + l) % n * (2 * n) + (m - l + n * ((m + l) >= n)) % (2 * n))

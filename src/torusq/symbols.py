@@ -93,8 +93,9 @@ class TrigPolynomial:
 
 
 def _frozen_grid(grid, rep: Representation, name: str) -> np.ndarray:
-    """Read-only complex copy of a 2N x 2N lattice grid with finite entries."""
-    g = np.array(grid, dtype=complex)
+    """grid as a read-only complex 2N x 2N array with finite entries, copied unless handed over."""
+    owned = type(grid) is np.ndarray and grid.dtype == complex and grid.flags.owndata
+    g = grid if owned and not grid.flags.writeable else np.array(grid, dtype=complex)
     side = 2 * rep.dim
     if g.shape != (side, side):
         raise DimensionError(
@@ -104,6 +105,12 @@ def _frozen_grid(grid, rep: Representation, name: str) -> np.ndarray:
         raise DomainError(f"{name} entries must be finite")
     g.setflags(write=False)
     return g
+
+
+def _handed_over(grid: np.ndarray) -> np.ndarray:
+    """A fresh grid made read-only, so that _frozen_grid takes it without a copy."""
+    grid.setflags(write=False)
+    return grid
 
 
 def _same_rep(a, b) -> Representation:
@@ -122,7 +129,8 @@ class SampledSymbol:
 
     Row index r runs over the x direction, column index s over p; the lattice
     point behind entry (r, s) is (r/2N + theta1/N, s/2N + theta2/N).  The
-    grid is copied and frozen on construction.
+    grid is checked finite and frozen on construction; it is copied unless it is a read-only
+    complex128 ndarray owning its data, which is handed over and must stay read-only.
     """
 
     grid: np.ndarray
@@ -168,19 +176,25 @@ def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
     exp(i pi (n1 mod 2N) r/N) exp(2 i pi n1 theta1/N), likewise in p, so each
     term times its theta phase adds into the spectrum at its frequency mod 2N.
     That phase loses about |n| eps, hence the loader's |n| < 2**53 bound.
+    The FFT runs rows first, as ifft2 does, but only on the rows that hold a term.
     """
     side = 2 * rep.dim
-    spectrum = np.zeros((side, side), dtype=complex)
+    rows = {}  # spectrum row n1 mod 2N -> its entries
     for (n1, n2), c in tp.items():
         theta_phase = cmath.exp(2j * cmath.pi * (n1 * rep.theta1 + n2 * rep.theta2) / rep.dim)
-        spectrum[n1 % side, n2 % side] += c * theta_phase
-    return SampledSymbol(np.fft.ifft2(spectrum, norm="forward"), rep)
+        rows.setdefault(n1 % side, np.zeros(side, dtype=complex))[n2 % side] += c * theta_phase
+    grid = np.zeros((side, side), dtype=complex)
+    grid[list(rows)] = np.fft.ifft(np.reshape(list(rows.values()), (-1, side)), axis=1, norm="forward")
+    grid = np.fft.ifft(grid, axis=0, norm="forward")  # frees the zero-padded rows
+    return SampledSymbol(_handed_over(grid), rep)
 
 
-def _ghost_signs(n: int) -> tuple:
-    """Signs (-1)^k, (-1)^j, (-1)^(j+k+n) of the S1, S2, S3 ghost copies, for j, k < n."""
+def _ghost_blocks(grid: np.ndarray, n: int) -> tuple:
+    """(sign, view) of the S1, S2, S3 ghost blocks grid[N:, :N], grid[:N, N:], grid[N:, N:],
+    with signs (-1)^k, (-1)^j, (-1)^(j+k+n) for j, k < n."""
     s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return s[None, :], s[:, None], (1.0 if n % 2 == 0 else -1.0) * s[:, None] * s[None, :]
+    s3 = (1.0 if n % 2 == 0 else -1.0) * s[:, None] * s[None, :]
+    return (s[None, :], grid[n:, :n]), (s[:, None], grid[:n, n:]), (s3, grid[n:, n:])
 
 
 def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
@@ -189,8 +203,8 @@ def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
     Kept as a single expression with a fixed association so kernel_element
     can cancel it bit for bit.
     """
-    s1, s2, s3 = _ghost_signs(n)
-    return s1 * grid[n:, :n] + s2 * grid[:n, n:] + s3 * grid[n:, n:]
+    (s1, g1), (s2, g2), (s3, g3) = _ghost_blocks(grid, n)
+    return s1 * g1 + s2 * g2 + s3 * g3
 
 
 def symmetric_extension(block: np.ndarray) -> np.ndarray:
@@ -199,12 +213,10 @@ def symmetric_extension(block: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionError(f"principal block must be square, got shape {b.shape}")
     n = len(b)
-    s1, s2, s3 = _ghost_signs(n)
     grid = np.empty((2 * n, 2 * n), dtype=complex)
     grid[:n, :n] = b
-    np.multiply(s2, b, out=grid[:n, n:])
-    np.multiply(s1, b, out=grid[n:, :n])
-    np.multiply(s3, b, out=grid[n:, n:])
+    for sign, ghost in _ghost_blocks(grid, n):
+        np.multiply(sign, b, out=ghost)
     return grid
 
 
@@ -243,8 +255,7 @@ def kernel_element(rep: Representation, seed: int) -> SampledSymbol:
     if seed != 0:
         rng = np.random.default_rng(seed)
         free = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-        grid[n:, :n] = free[0]
-        grid[:n, n:] = free[1]
-        grid[n:, n:] = free[2]
+        for (_, ghost), block in zip(_ghost_blocks(grid, n), free):
+            ghost[...] = block
         grid[:n, :n] = -_fold_tail(grid, n)
     return SampledSymbol(grid, rep)

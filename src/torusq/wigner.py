@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .rep import Representation, _check_operator, heisenberg
-from .symbols import SampledSymbol, _frozen_grid, symmetric_extension
+from .symbols import SampledSymbol, _frozen_grid, _ghost_blocks, _handed_over, symmetric_extension
 
 __all__ = [
     "KIND_STATE_PAIR",
@@ -44,7 +44,8 @@ KIND_OPERATOR = "operator"
 
 @dataclass(frozen=True, eq=False)
 class WignerTable:
-    """2N x 2N Wigner table together with its representation and source kind."""
+    """2N x 2N Wigner table with its representation and source kind.  The grid is checked
+    finite and frozen, and copied unless it is a read-only complex128 ndarray owning its data."""
 
     grid: np.ndarray
     rep: Representation
@@ -67,10 +68,11 @@ def _core(a: np.ndarray) -> np.ndarray:
     # Principal block: (1/2N) sum_l A[l, r - l] exp(-i pi (2l - r) s / N) is the row
     # FFT of A[l, r - l] times exp(i pi r s / N); S1 to S3 give the ghost blocks.
     n = len(a)
-    r = np.arange(n)[:, None]
-    l = np.arange(n)[None, :]
-    twist = np.exp(1j * np.pi * np.arange(2 * n) / n)[(r * l) % (2 * n)]
-    return symmetric_extension(twist * np.fft.fft(a[l, (r - l) % n], axis=1) / (2 * n))
+    r, l = np.arange(n)[:, None], np.arange(n)
+    twist = np.exp(1j * np.pi * np.arange(2 * n) / n).take((r * l) % (2 * n))
+    block = twist * np.fft.fft(a.ravel().take(l * n + (r - l) % n), axis=1) / (2 * n)
+    del twist  # freed before the 2N x 2N extension is allocated
+    return symmetric_extension(block)
 
 
 def fourier_wigner(rep: Representation, psi, phi, n1: int, n2: int) -> complex:
@@ -88,7 +90,7 @@ def wigner_state(rep: Representation, psi, phi) -> WignerTable:
     """
     psi = _check_state(rep, psi, "psi")
     phi = _check_state(rep, phi, "phi")
-    return WignerTable(_core(np.conj(psi) * phi[:, None]), rep, KIND_STATE_PAIR)
+    return WignerTable(_handed_over(_core(np.conj(psi) * phi[:, None])), rep, KIND_STATE_PAIR)
 
 
 def wigner_operator(rep: Representation, operator) -> WignerTable:
@@ -96,7 +98,7 @@ def wigner_operator(rep: Representation, operator) -> WignerTable:
 
     W(r, s) = (1/2N) sum_{l in Z_N} A[l, r - l] exp(-i pi (2l - r) s / N).
     """
-    return WignerTable(_core(_check_operator(rep, operator)), rep, KIND_OPERATOR)
+    return WignerTable(_handed_over(_core(_check_operator(rep, operator))), rep, KIND_OPERATOR)
 
 
 def marginal_x(table: WignerTable) -> np.ndarray:
@@ -124,4 +126,5 @@ def check_symmetries(table: WignerTable) -> float:
     """Largest |grid - symmetric_extension(grid[:N, :N])|, the ghost blocks' distance
     from the S1 to S3 copies of the principal block: 0.0 exactly when they hold."""
     n = table.rep.dim
-    return float(np.max(np.abs(table.grid - symmetric_extension(table.grid[:n, :n]))))
+    block = table.grid[:n, :n]
+    return max(float(np.max(np.abs(ghost - sign * block))) for sign, ghost in _ghost_blocks(table.grid, n))

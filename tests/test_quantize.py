@@ -133,3 +133,45 @@ def test_reduced_constant_scalar_case():
 def test_reduced_requires_square_input():
     with pytest.raises(DimensionError):
         operator_from_reduced(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_fourier_route_of_the_empty_polynomial_is_the_zero_matrix(dim):
+    op = quantize_fourier(TrigPolynomial(), Representation(0.3, 0.8, dim))
+    assert np.array_equal(op, np.zeros((dim, dim), dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4, 7])
+def test_fourier_route_matches_literal_heisenberg_sum(dim):
+    # Repeated rows (frequencies equal mod N), negative n2 and |n| up to 2**53 - 1.
+    rng = np.random.default_rng(90 + dim)
+    top = 2**53 - 1
+    keys = [(1, 2), (1, 2 + dim), (-3, 2 - 5 * dim), (0, -1), (top, -top), (-top, top - dim), (top, 7)]
+    keys += [(int(rng.integers(-top, top)), int(rng.integers(-top, top))) for _ in range(8)]
+    coeffs = {key: complex(rng.standard_normal(), rng.standard_normal()) for key in keys}
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    expected = np.zeros((dim, dim), dtype=complex)
+    for (n1, n2), c in coeffs.items():
+        expected += c * heisenberg(rep, n1, n2)
+    built = quantize_fourier(TrigPolynomial(coeffs), rep)
+    assert np.max(np.abs(built - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 0), (1, 0), (3, -2), (-5, 9), (2**52 + 1, -(2**50))])
+def test_heisenberg_is_the_one_term_fourier_route(n1, n2):
+    for dim in (1, 2, 6):
+        rep = Representation(0.41, 0.07, dim)
+        one_term = quantize_fourier(TrigPolynomial({(n1, n2): 1.0}), rep)
+        assert heisenberg(rep, n1, n2).tobytes() == one_term.tobytes()
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 2**63), (2**64 + 1, -(2**70)), (-(2**63) - 5, 2**63 + 7)])
+def test_group_elements_take_frequencies_past_int64(n1, n2):
+    dim = 3
+    rep = Representation(0.25, 0.5, dim)
+    j = np.arange(dim)
+    rows = (j - n2 % dim) % dim
+    for matrix in (heisenberg(rep, n1, n2), quantize_fourier(TrigPolynomial({(n1, n2): 1.0}), rep)):
+        # One entry per column, in row (j - n2) mod N; its phase is |n| eps noise.
+        assert np.count_nonzero(matrix) == dim
+        assert np.max(np.abs(np.abs(matrix[rows, j]) - 1.0)) < 1e-12

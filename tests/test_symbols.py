@@ -11,11 +11,14 @@ from torusq import (
     Representation,
     SampledSymbol,
     TrigPolynomial,
+    WignerTable,
     delta,
+    dequantize,
     equivalent,
     evaluate,
     kernel_element,
     sample,
+    wigner_state,
 )
 
 finite_coeff = st.complex_numbers(
@@ -260,3 +263,58 @@ def test_equivalent_rejects_rep_mismatch():
         equivalent(a, b)
     with pytest.raises(DimensionError):
         equivalent(a, c)
+
+
+def test_writeable_grid_is_copied():
+    rep = Representation(0.2, 0.4, 2)
+    user = np.arange(16, dtype=complex).reshape(4, 4)
+    sym = SampledSymbol(user, rep)
+    user[0, 0] = 99.0
+    assert sym.grid[0, 0] == 0.0
+    assert not np.shares_memory(sym.grid, user)
+
+
+def test_read_only_view_of_a_writeable_base_is_copied():
+    rep = Representation(0.2, 0.4, 2)
+    base = np.zeros((4, 4), dtype=complex)
+    view = base[:, :]
+    view.setflags(write=False)
+    sym = SampledSymbol(view, rep)
+    base[1, 1] = 5.0
+    assert sym.grid[1, 1] == 0.0
+    assert not np.shares_memory(sym.grid, base)
+
+
+def test_owned_read_only_complex_grid_is_handed_over():
+    rep = Representation(0.2, 0.4, 2)
+    grid = np.ones((4, 4), dtype=complex)
+    grid.setflags(write=False)
+    assert SampledSymbol(grid, rep).grid is grid
+    assert WignerTable(grid, rep, "operator").grid is grid
+
+
+def test_frozen_grid_holding_nan_is_refused():
+    rep = Representation(0.2, 0.4, 2)
+    grid = np.zeros((4, 4), dtype=complex)
+    grid[2, 3] = np.nan
+    grid.setflags(write=False)
+    with pytest.raises(DomainError, match="sampled symbol entries must be finite"):
+        SampledSymbol(grid, rep)
+    with pytest.raises(DomainError, match="Wigner table entries must be finite"):
+        WignerTable(grid, rep, "operator")
+
+
+def test_fresh_grids_share_memory_with_no_input():
+    rng = np.random.default_rng(44)
+    rep = Representation(0.6, 0.1, 3)
+    coeffs = {(1, -2): 1.5, (4, 0): -0.5j}
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    op = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for grid, inputs in (
+        (sample(TrigPolynomial(coeffs), rep).grid, ()),
+        (wigner_state(rep, psi, phi).grid, (psi, phi)),
+        (dequantize(rep, op).grid, (op,)),
+    ):
+        assert not grid.flags.writeable
+        assert not any(np.shares_memory(grid, x) for x in inputs)
