@@ -176,6 +176,17 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds only with non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors raise FormatError (exit 2)."""
 
@@ -230,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--steps", type=int, default=1000, help="RK4 step count (default 1000)")
 
     s = sub.add_parser("selftest", help="run the acceptance battery")
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base random seed")
+    s.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="base random seed, non-negative")
     s.set_defaults(handler=_cmd_selftest)
 
     return parser

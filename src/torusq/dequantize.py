@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-from .rep import Representation, _check_operator
+from .errors import DimensionError, DomainError
+from .rep import Representation, _check_operator, _is_integer
 from .symbols import SampledSymbol, TrigPolynomial, _handed_over, delta
 from .wigner import _core
 
@@ -75,6 +75,15 @@ def pauli_symbols(rep: Representation):
     return alpha_i, alpha_x, alpha_y, alpha_z
 
 
+def _check_indices(rep: Representation, r, s) -> None:
+    """DomainError if r or s is a bool or not an integer, DimensionError unless
+    both lie in the doubled range 0..2N-1."""
+    if not (_is_integer(r) and _is_integer(s)):
+        raise DomainError(f"indices must be integers, got ({r!r}, {s!r})")
+    if not (0 <= r < 2 * rep.dim and 0 <= s < 2 * rep.dim):
+        raise DimensionError(f"indices must lie in 0..{2 * rep.dim - 1}, got ({r}, {s})")
+
+
 def big_pauli(rep: Representation, r: int, s: int) -> np.ndarray:
     """Generalized Pauli matrix B[r, s] with entry exp(-i pi (r - 2j) s / N) at (j, r - j mod N).
 
@@ -83,9 +92,8 @@ def big_pauli(rep: Representation, r: int, s: int) -> np.ndarray:
     +-exp(-i pi (t mod N) / N) with t = (r - 2j) s mod 2N and the minus sign
     for t >= N, so those sign laws hold bit for bit.
     """
+    _check_indices(rep, r, s)
     n = rep.dim
-    if not (0 <= r < 2 * n and 0 <= s < 2 * n):
-        raise DimensionError(f"indices must lie in 0..{2 * n - 1}, got ({r}, {s})")
     j = np.arange(n)
     t = ((r - 2 * j) * s) % (2 * n)
     out = np.zeros((n, n), dtype=complex)
@@ -101,9 +109,8 @@ def big_pauli_symbol(rep: Representation, r: int, s: int) -> TrigPolynomial:
     (1/2N) exp(-2 i pi k x_r) exp(-2 i pi m p_s) with (x_r, p_s) the lattice
     point of (r, s); its sampling is the 2N-scaled indicator of that point.
     """
+    _check_indices(rep, r, s)
     n = rep.dim
-    if not (0 <= r < 2 * n and 0 <= s < 2 * n):
-        raise DimensionError(f"indices must lie in 0..{2 * n - 1}, got ({r}, {s})")
     x = r / (2 * n) + rep.theta1 / n
     p = s / (2 * n) + rep.theta2 / n
     return TrigPolynomial(

@@ -18,13 +18,21 @@ Q_c(a) = quantize_sampled(a(. + c)), c = (c1, c2) in {0, 1}^2, also turns
     Q_c(a)[i, j] = (1/2N) sum_{h=0,1} F2 a(i+j+hN+c1, j-i+hN) exp(i pi c2 (j-i+hN) / N);
 
 the phase of h = 1 is minus that of h = 0, so the two terms meet in a sum
-for c2 = 0 and a difference for c2 = 1.  The four maps together carry the
-2N x 2N grids one-to-one onto four copies of M_N: the stacked map is
-sqrt(1/N) times a unitary, so its inverse is N times its adjoint.  For
-each c1 the (h, i, j) above name the entries with row + column = c1 mod 2
-once each, so together they read the 4N^2 entries of F2 a in one fixed
-permutation, built once per N; the forward map takes it after the row DFT,
-and the adjoint takes its inverse before one row inverse DFT.
+for c2 = 0 and a difference for c2 = 1.  For c2 = 1 the phase that is left,
+exp(i pi (j - i) / N), is a similarity by the fixed diagonal unitary
+D = diag(exp(i pi j / N)), so the maps leave it out and compute the blocks
+Q_c for c2 = 0 and D Q_c D* for c2 = 1, a plain sum and difference over h.
+Nothing that uses the blocks sees D: products and commutators carry it
+through (D X D* D Y D* = D X Y D*), and in evolve_symbol D leaves the
+energies of H_c as they are and turns its eigenvectors V into D V, which
+cancels in V* A_c V and puts V g V* in the D form that the map back
+takes.  The four maps together carry the 2N x 2N grids one-to-one onto four
+copies of M_N: the stacked map is sqrt(1/N) times a unitary, so its inverse
+is N times its adjoint.  For each c1 the (h, i, j) above name the entries
+with row + column = c1 mod 2 once each, so together they read the 4N^2
+entries of F2 a in one fixed permutation, built once per N; the forward map
+takes it after the row DFT, and the adjoint writes the sum and the
+difference of the blocks through it before one row inverse DFT.
 a # b is the inverse of the four products Q_c(a) Q_c(b), and {a, b} that
 of the four commutators, which makes {a, a} exactly zero.  Each costs
 O(N^3) for the products and O(N^2 log N) for the transforms; the test
@@ -56,7 +64,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quantize import quantize_sampled
-from .rep import Representation, _check_operator, _finite_real
+from .rep import Representation, _check_operator, _finite_real, _is_integer
 from .symbols import SampledSymbol, TrigPolynomial, _same_rep, sample
 
 __all__ = [
@@ -71,37 +79,38 @@ __all__ = [
 
 
 @functools.lru_cache(maxsize=8)
-def _block_tables(n: int) -> tuple:
-    """Read-only tables of the block maps, built once per N (see the module notes): the
-    permutation picks[c1, h, i, j] = rows * 2N + columns, columns = j - i + hN and rows =
-    columns + 2i + c1 mod 2N, its inverse back, and twist[i, j] = exp(i pi (j - i) / N)."""
+def _block_picks(n: int) -> np.ndarray:
+    """The read-only permutation of the block maps, built once per N (see the module notes):
+    picks[c1, h, i, j] = rows * 2N + columns, with columns = j - i + hN and rows =
+    columns + 2i + c1 mod 2N."""
     k = np.arange(2 * n, dtype=np.min_scalar_type(-4 * n * n))  # holds every flat index
     columns = (k[:n] - k[:n, None] + k[::n, None, None]) % (2 * n)
     picks = (columns + 2 * k[:n, None] + k[:2, None, None, None]) % (2 * n) * (2 * n) + columns
-    back = np.empty(4 * n * n, dtype=k.dtype)
-    back[picks.ravel()] = np.arange(4 * n * n, dtype=k.dtype)
-    tables = picks, back.reshape(2 * n, 2 * n), np.exp((1j * np.pi / n) * k)[columns[0]]
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    picks.flags.writeable = False
+    return picks
 
 
 def _to_blocks(grids: np.ndarray) -> np.ndarray:
-    """The blocks Q_c of 2N x 2N grids on the last two axes, on new axes (c2, c1) before them."""
-    picks, _, twist = _block_tables(grids.shape[-1] // 2)
-    picked = np.fft.fft(grids, axis=-1, norm="forward").reshape(grids.shape[:-2] + (-1,)).take(picks, axis=-1)
+    """The blocks of 2N x 2N grids on the last two axes, on new axes (c2, c1) before them:
+    Q_c for c2 = 0 and D Q_c D* for c2 = 1, D = diag(exp(i pi j / N)).  Products,
+    commutators and eigenbases carry the fixed unitary D through, and _from_blocks
+    takes it back, so no caller sees it (see the module notes)."""
+    picked = np.fft.fft(grids, axis=-1, norm="forward").reshape(grids.shape[:-2] + (-1,))
+    picked = picked.take(_block_picks(grids.shape[-1] // 2), axis=-1)
     even, odd = picked[..., 0, :, :], picked[..., 1, :, :]
-    return np.stack([even + odd, twist * (even - odd)], axis=-4)
+    return np.stack([even + odd, even - odd], axis=-4)
 
 
 def _from_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The grid whose blocks Q_c are blocks[..., c2, c1, :, :], the inverse of _to_blocks."""
+    """The grid whose blocks, Q_c for c2 = 0 and D Q_c D* for c2 = 1 as _to_blocks gives
+    them, are blocks[c2, c1] of one (2, 2, N, N) stack: the inverse of _to_blocks, so the
+    D of a block made there cancels here."""
     n = blocks.shape[-1]
-    _, back, twist = _block_tables(n)
-    plain, twisted = blocks[..., 0, :, :, :], twist.conj() * blocks[..., 1, :, :, :]
-    spectrum = np.stack([plain + twisted, plain - twisted], axis=-3).reshape(blocks.shape[:-4] + (-1,))
-    spectrum = spectrum.take(back, axis=-1)
-    return n * np.fft.ifft(spectrum, axis=-1)
+    picks = _block_picks(n)
+    spectrum = np.empty(4 * n * n, dtype=complex)
+    spectrum[picks[:, 0]] = blocks[0] + blocks[1]
+    spectrum[picks[:, 1]] = blocks[0] - blocks[1]
+    return n * np.fft.ifft(spectrum.reshape(2 * n, 2 * n), axis=-1)
 
 
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
@@ -201,13 +210,11 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     the start gains the factor R(z_ij)^steps.  Fourier modes of H below
     1e-13 of the largest, and those with both indices in {0, N}, which
     commute with every symbol, are dropped first; a Hamiltonian with no other
-    mode returns the start grid bit for bit.  The threshold also drops the
-    rounding a large constant c leaves in every mode, which kept would enter
-    E_i - E_j at about eps |c|.  A step past RK4's stability limit,
+    mode returns the start grid bit for bit.  A step past RK4's stability limit,
     2 pi N |t/steps| (E_max - E_min) > 2 sqrt(2) in some block, raises DomainError.
     """
     rep = _same_rep(system, start)
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+    if not _is_integer(steps) or steps < 1:
         raise DomainError(f"steps must be a positive integer, got {steps!r}")
     _finite_real(t, "t")
     try:

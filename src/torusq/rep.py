@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _finite_real(value, name: str) -> float:
     """value as a float; DomainError unless it is a finite real number (bools excluded)."""
     try:
@@ -49,7 +54,7 @@ class Representation:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or isinstance(self.dim, bool):
+        if not _is_integer(self.dim):
             raise DimensionError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise DimensionError(f"dim must be at least 1, got {self.dim}")
@@ -90,8 +95,11 @@ def heisenberg(rep: Representation, n1: int, n2: int) -> np.ndarray:
         exp(-i pi n1 n2 / N) exp(2 i pi n1 (j + theta1) / N) exp(2 i pi n2 theta2 / N)
     in row (j - n2) mod N, each entry from one complex exponential: unitary to
     machine precision for any integers n1, n2, which enter the phase as floats
-    and the row as n2 mod N.  It is the one-term case of _group_sum.
+    and the row as n2 mod N.  It is the one-term case of _group_sum.  A label
+    that is a bool or not an integer raises DomainError.
     """
+    if not (_is_integer(n1) and _is_integer(n2)):
+        raise DomainError(f"group element labels must be integers, got ({n1!r}, {n2!r})")
     return _group_sum(rep, (((n1, n2), 1.0),))
 
 

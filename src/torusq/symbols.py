@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .rep import Representation
+from .rep import Representation, _is_integer
 
 __all__ = [
     "TrigPolynomial",
@@ -33,8 +33,8 @@ class TrigPolynomial:
 
     Coefficients are stored in a frequency -> amplitude map; exact zeros are
     dropped so the support is always finite and minimal.  A frequency that is
-    not a tuple of two Python or numpy integers (bools included) raises
-    DomainError.
+    not a tuple of two Python or numpy integers (bools included), or a
+    coefficient that is not finite, raises DomainError.
     """
 
     __slots__ = ("_coeffs",)
@@ -42,11 +42,11 @@ class TrigPolynomial:
     def __init__(self, coeffs=()):
         data = {}
         for key, value in dict(coeffs).items():
-            if not (isinstance(key, tuple) and len(key) == 2) or any(
-                isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in key
-            ):
+            if not (isinstance(key, tuple) and len(key) == 2) or not all(map(_is_integer, key)):
                 raise DomainError(f"frequency {key!r} must be a pair of integers")
             c = complex(value)
+            if not cmath.isfinite(c):
+                raise DomainError(f"coefficient {value!r} at frequency {key!r} must be finite")
             if c != 0:
                 data[(int(key[0]), int(key[1]))] = c
         self._coeffs = data

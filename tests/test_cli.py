@@ -445,6 +445,14 @@ def test_selftest_battery():
     assert sum(1 for line in lines if " PASS " in line) == 12
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-5"], ["--seed", "1.5"], ["--seed", "x"]])
+def test_selftest_refuses_a_seed_that_is_not_a_non_negative_integer(capsys, argv):
+    assert cli.main(["selftest", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "non-negative integer" in err
+
+
 # Fuzzing: malformed documents and flag values must end in a documented exit
 # code, never a traceback.  Valid trig polynomial inputs only ever meet
 # --N <= 64; a huge --N is paired with sampled-symbol documents, which fix

@@ -3,6 +3,7 @@ import pytest
 
 from torusq import (
     DimensionError,
+    DomainError,
     Representation,
     SampledSymbol,
     big_pauli,
@@ -96,6 +97,21 @@ def test_big_pauli_spin_half_dictionary():
     assert np.max(np.abs(big_pauli(rep, 1, 0) - SX)) == 0.0
     # the sigma_y entries carry cos(pi/2), which is 6e-17 rather than 0
     assert np.max(np.abs(big_pauli(rep, 1, 1) - SY)) < 1e-15
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, np.float64(2), True, False, None])
+def test_big_pauli_indices_must_be_integers(index):
+    rep = Representation(0.0, 0.0, 3)
+    for r, s in ((index, 0), (0, index)):
+        with pytest.raises(DomainError, match="indices must be integers"):
+            big_pauli(rep, r, s)
+        with pytest.raises(DomainError, match="indices must be integers"):
+            big_pauli_symbol(rep, r, s)
+
+
+def test_big_pauli_takes_numpy_integer_indices():
+    rep = Representation(0.3, 0.6, 3)
+    assert np.array_equal(big_pauli(rep, np.int64(4), np.uint8(5)), big_pauli(rep, 4, 5))
 
 
 def test_big_pauli_range_checked():

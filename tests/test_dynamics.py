@@ -17,7 +17,7 @@ from torusq import (
     quantize_sampled,
     sample,
 )
-from torusq.moyal import _block_tables, _from_blocks, _to_blocks
+from torusq.moyal import _block_picks, _from_blocks, _to_blocks
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -344,23 +344,27 @@ def test_four_blocks_split_kernel_and_dequantized_grids(dim):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_block_transform_matches_shifted_quantizations(dim):
-    # The cached permutation tables against block(), built from quantize_sampled.
+    # The cached permutation against block(), built from quantize_sampled: the
+    # c2 = 1 blocks are D Q_c D* with D = diag(exp(i pi j / N)).
     rng = np.random.default_rng(1100 + dim)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
     side = 2 * dim
     grids = rng.standard_normal((2, side, side)) + 1j * rng.standard_normal((2, side, side))
     blocks = _to_blocks(grids)
     assert blocks.shape == (2, 2, 2, dim, dim)
+    d = np.exp(1j * np.pi * np.arange(dim) / dim)
     for grid, stacked in zip(grids, blocks):
         for c1, c2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
             expected = block(grid, rep, c1, c2)
+            if c2:
+                expected = d[:, None] * expected * d.conj()
             assert np.max(np.abs(stacked[c2, c1] - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert np.max(np.abs(_from_blocks(blocks) - grids)) <= 1e-14 * np.max(np.abs(grids))
-    picks, back, twist = _block_tables(dim)
+        assert np.max(np.abs(_from_blocks(stacked) - grid)) <= 1e-14 * np.max(np.abs(grid))
+    picks = _block_picks(dim)
+    assert type(picks) is np.ndarray and picks.dtype.kind == "i"
     assert np.array_equal(np.sort(picks, axis=None), np.arange(side * side))
-    assert np.array_equal(picks.ravel()[back], np.arange(side * side).reshape(side, side))
-    assert not any(table.flags.writeable for table in (picks, back, twist))
-    assert _block_tables(dim) is _block_tables(dim)
+    assert not picks.flags.writeable
+    assert _block_picks(dim) is picks
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,15 @@ def test_theta_reduced_mod_one():
     assert rep.dim == 3
 
 
+@pytest.mark.parametrize("label", [0.5, 1.0, np.float64(2), True, False, "1", None])
+def test_group_element_labels_must_be_integers(label):
+    rep = Representation(0.0, 0.0, 3)
+    with pytest.raises(DomainError, match="labels must be integers"):
+        heisenberg(rep, label, 0)
+    with pytest.raises(DomainError, match="labels must be integers"):
+        heisenberg(rep, 0, label)
+
+
 def test_theta_tiny_negative_folds_to_zero():
     # -1e-18 % 1.0 evaluates to 1.0 in floating point; the constructor folds it back
     rep = Representation(-1e-18, 1.0, 2)

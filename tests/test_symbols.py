@@ -40,6 +40,19 @@ def test_trig_refuses_non_integer_frequencies(key):
         TrigPolynomial({key: 1.0})
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), complex(0, -float("inf")), np.complex128(complex(1, float("nan")))]
+)
+def test_trig_refuses_non_finite_coefficients(value):
+    with pytest.raises(DomainError, match="at frequency \\(0, 0\\) must be finite"):
+        TrigPolynomial({(0, 0): value})
+
+
+def test_trig_refuses_arithmetic_that_overflows():
+    with pytest.raises(DomainError, match="must be finite"):
+        TrigPolynomial({(1, 0): 1e308}) * 10.0
+
+
 def test_trig_accepts_numpy_integer_frequencies():
     tp = TrigPolynomial({(np.int64(2), np.int32(-1)): 1.0, (np.uint8(3), 2**70): 2.0})
     assert tp.coefficients() == {(2, -1): 1.0 + 0j, (3, 2**70): 2.0 + 0j}
