@@ -2,11 +2,16 @@
 
 Two routes are provided and must agree: the Fourier route sums group
 elements weighted by the Fourier coefficients of a trigonometric
-polynomial, while the sampled route reads the matrix elements directly off
-the lattice grid through a 2N-point discrete Fourier transform of each grid
-row.  That transform, and the one inverting the reduced symbol, are numpy
-FFTs, each read by one flat take at indices row * width + column of its
-raveled output, so both cost O(N^2 log N).
+polynomial, while the sampled route goes through the fold, since two grids
+give the same operator exactly when their folds agree: quantize_sampled(sym)
+is operator_from_reduced(delta(sym)).  That inversion is one N-point inverse
+FFT per row of the reduced symbol red,
+
+    P[k, m] = (1 / 2N) sum_s red[k, s] exp(-i pi k s / N) exp(2 i pi s m / N),
+
+read by one take: the operator entry in row m, column l is P[(m + l) % N, m]
+(the wrap sign of the 2N-point form cancels, see operator_from_reduced), so
+the route costs O(N^2 log N).
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .rep import Representation, _group_sum
-from .symbols import SampledSymbol, TrigPolynomial
+from .symbols import SampledSymbol, TrigPolynomial, delta
 
 __all__ = [
     "quantize_fourier",
@@ -37,15 +42,10 @@ def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
 
         (1 / 2N) [ F2 a(j + n, j - n) + F2 a(j + n + N, j - n + N) ]
 
-    with both grid indices taken mod 2N.
+    with both grid indices taken mod 2N.  It depends on the grid only through
+    its fold, and is computed as operator_from_reduced(delta(sym)).
     """
-    n = sym.rep.dim
-    side = 2 * n
-    f2 = np.fft.fft(sym.grid, axis=1).ravel()
-    row, col = np.arange(n)[:, None], np.arange(n)
-    out = f2.take((row + col) * side + (col - row) % side)
-    out += f2.take((row + col + n) % side * side + (col - row + n) % side)
-    return np.divide(out, side, out=out)
+    return operator_from_reduced(delta(sym))
 
 
 def adjoint_symbol(sym: SampledSymbol) -> SampledSymbol:
@@ -61,17 +61,20 @@ def operator_from_reduced(reduced: np.ndarray) -> np.ndarray:
         (1 / 2N) sum_s red[(m+l) % N, s] (-1)^(s w) exp(i pi s (m-l) / N)
 
     where w = 1 when m + l wraps past N and 0 otherwise.  The wrap sign
-    comes from folding the 2N-point row index down to N points; without it
-    the inversion only holds on the entries with m + l < N.  The input is
-    the N x N output of the fold operator; composing with it reproduces
-    quantize_sampled exactly.
+    comes from folding the 2N-point row index down to N points.  It cancels
+    against the N-point index k = (m + l) % N: (-1)^(s w) exp(i pi s (m-l) / N)
+    is exp(i pi s (m - l + w N) / N) and m - l + w N = 2m - k, so the element
+    is P[k, m], the unscaled N-point inverse FFT of row k of red times the
+    chirp exp(-i pi k s / N) / 2N.  The input is the N x N output of the
+    fold operator; composing with it is quantize_sampled.
     """
     red = np.asarray(reduced, dtype=complex)
     if red.ndim != 2 or red.shape[0] != red.shape[1]:
         raise DimensionError(f"reduced symbol must be square, got shape {red.shape}")
     n = red.shape[0]
-    # rows[k, t] = (1 / 2N) sum_s red[k, s] exp(i pi s t / N); the wrap sign
-    # is the N-shift t -> t + N of the column read.
-    rows = np.fft.ifft(red, n=2 * n, axis=1).ravel()
-    m, l = np.arange(n)[:, None], np.arange(n)
-    return rows.take((m + l) % n * (2 * n) + (m - l + n * ((m + l) >= n)) % (2 * n))
+    k = np.arange(n)
+    chirp = (np.exp(np.arange(2 * n) * (-1j * np.pi / n)) / (2 * n)).take(k[:, None] * k % (2 * n))
+    rows = np.fft.ifft(np.multiply(chirp, red, out=chirp), axis=1, norm="forward").ravel()
+    del chirp  # freed before the index and the operator are allocated
+    # Entry (m, l) sits at N ((m + l) % N) + m, which is N (m + l) + m wrapped at N^2.
+    return rows.take((n + 1) * k[:, None] + n * k, mode="wrap")

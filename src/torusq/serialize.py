@@ -63,7 +63,9 @@ def dumps(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_rows("%.17g", np.array([[obj]], dtype=float))
+        if not math.isfinite(obj):
+            raise DomainError(_NON_FINITE)
+        return "%.17g" % obj
     if isinstance(obj, np.ndarray):
         flat = np.asarray(obj, dtype=complex).ravel()
         pairs = np.column_stack((flat.real, flat.imag))

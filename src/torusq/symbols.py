@@ -34,7 +34,7 @@ class TrigPolynomial:
     Coefficients are stored in a frequency -> amplitude map; exact zeros are
     dropped so the support is always finite and minimal.  A frequency that is
     not a tuple of two Python or numpy integers (bools included), or a
-    coefficient that is not finite, raises DomainError.
+    coefficient that is a str, bytes or bool or is not finite, raises DomainError.
     """
 
     __slots__ = ("_coeffs",)
@@ -44,6 +44,8 @@ class TrigPolynomial:
         for key, value in dict(coeffs).items():
             if not (isinstance(key, tuple) and len(key) == 2) or not all(map(_is_integer, key)):
                 raise DomainError(f"frequency {key!r} must be a pair of integers")
+            if isinstance(value, (str, bytes, bool, np.bool_)):
+                raise DomainError(f"coefficient {value!r} at frequency {key!r} must be a number")
             c = complex(value)
             if not cmath.isfinite(c):
                 raise DomainError(f"coefficient {value!r} at frequency {key!r} must be finite")
@@ -192,9 +194,10 @@ def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
 def _ghost_blocks(grid: np.ndarray, n: int) -> tuple:
     """(sign, view) of the S1, S2, S3 ghost blocks grid[N:, :N], grid[:N, N:], grid[N:, N:],
     with signs (-1)^k, (-1)^j, (-1)^(j+k+n) for j, k < n."""
-    s = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    s3 = (1.0 if n % 2 == 0 else -1.0) * s[:, None] * s[None, :]
-    return (s[None, :], grid[n:, :n]), (s[:, None], grid[:n, n:]), (s3, grid[n:, n:])
+    signs = np.ones(2 * n)
+    signs[1::2] = -1.0  # (-1)^i
+    s = signs[:n]
+    return (s, grid[n:, :n]), (s[:, None], grid[:n, n:]), (signs[n:, None] * s, grid[n:, n:])
 
 
 def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:

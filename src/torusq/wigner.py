@@ -67,10 +67,11 @@ def _check_state(rep: Representation, psi: np.ndarray, name: str) -> np.ndarray:
 def _core(a: np.ndarray) -> np.ndarray:
     # Principal block: (1/2N) sum_l A[l, r - l] exp(-i pi (2l - r) s / N) is the row
     # FFT of A[l, r - l] times exp(i pi r s / N); S1 to S3 give the ghost blocks.
+    # A[l, (r - l) % N] sits at flat index l N + r - l, plus N where r < l.
     n = len(a)
     r, l = np.arange(n)[:, None], np.arange(n)
     twist = np.exp(1j * np.pi * np.arange(2 * n) / n).take((r * l) % (2 * n))
-    block = twist * np.fft.fft(a.ravel().take(l * n + (r - l) % n), axis=1) / (2 * n)
+    block = twist * np.fft.fft(a.ravel().take(l * (n - 1) + r + n * (r < l)), axis=1) / (2 * n)
     del twist  # freed before the 2N x 2N extension is allocated
     return symmetric_extension(block)
 

@@ -12,6 +12,7 @@ from torusq import (
     big_pauli,
     delta,
     heisenberg,
+    kernel_element,
     operator_from_reduced,
     quantize_fourier,
     quantize_sampled,
@@ -75,6 +76,42 @@ def test_reduced_inversion_composes_to_quantization():
             sym = SampledSymbol(g, rep)
             rebuilt = operator_from_reduced(delta(sym))
             assert np.max(np.abs(rebuilt - quantize_sampled(sym))) < 1e-12
+
+
+def _row_fft_reading(grid: np.ndarray) -> np.ndarray:
+    """(1 / 2N) [F2 a(j + n, j - n) + F2 a(j + n + N, j - n + N)] read off a 2N-point FFT of each row."""
+    side = len(grid)
+    dim = side // 2
+    f2 = np.fft.fft(grid, axis=1)
+    n, j = np.arange(dim)[:, None], np.arange(dim)
+    return (f2[(j + n) % side, (j - n) % side] + f2[(j + n + dim) % side, (j - n + dim) % side]) / side
+
+
+@pytest.mark.parametrize("dim", [7, 16, 64, 128])
+def test_sampled_route_matches_the_row_fft_reading(dim):
+    rng = np.random.default_rng(60 + dim)
+    side = 2 * dim
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    expected = _row_fft_reading(g)
+    built = quantize_sampled(SampledSymbol(g, Representation(rng.uniform(), rng.uniform(), dim)))
+    assert np.max(np.abs(built - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 13, 64])
+def test_sampled_route_is_the_inversion_of_the_fold(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(3):
+        g = rng.standard_normal((2 * dim, 2 * dim)) + 1j * rng.standard_normal((2 * dim, 2 * dim))
+        sym = SampledSymbol(g, Representation(rng.uniform(), rng.uniform(), dim))
+        assert np.array_equal(quantize_sampled(sym), operator_from_reduced(delta(sym)))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_kernel_elements_quantize_to_exactly_zero(dim):
+    rep = Representation(0.29, 0.61, dim)
+    for seed in (1, 2, 7, 2024):
+        op = quantize_sampled(kernel_element(rep, seed))
+        assert np.array_equal(op, np.zeros((dim, dim), dtype=complex))
 
 
 @pytest.mark.parametrize("dim", range(1, 7))

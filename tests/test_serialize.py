@@ -60,6 +60,29 @@ def test_dumps_rejects_non_finite():
         dumps([float("inf")])
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (-0.0, "-0"),
+        (np.float64(-0.0), "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (np.float64(2.5e-310), "2.5000000000000171e-310"),
+        (sys.float_info.max, "1.7976931348623157e+308"),
+        (np.float64(-sys.float_info.max), "-1.7976931348623157e+308"),
+        (np.float32(0.1), "0.10000000149011612"),
+    ],
+)
+def test_dumps_writes_a_scalar_float_as_the_array_path_does(value, text):
+    assert dumps(value) == text
+    assert dumps(np.array([value])) == f"[[{text},0]]"
+
+
+@pytest.mark.parametrize("bad", [np.float64("nan"), np.float32("inf"), -float("inf")])
+def test_dumps_refuses_a_non_finite_scalar(bad):
+    with pytest.raises(DomainError, match="^cannot serialize a non-finite number$"):
+        dumps({"t": bad})
+
+
 def test_loads_rejects_non_finite_and_garbage():
     with pytest.raises(FormatError):
         loads("NaN")

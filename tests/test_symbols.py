@@ -48,6 +48,19 @@ def test_trig_refuses_non_finite_coefficients(value):
         TrigPolynomial({(0, 0): value})
 
 
+@pytest.mark.parametrize("value", ["1+2j", "0", b"1", True, False, np.bool_(True)])
+def test_trig_refuses_text_and_bool_coefficients(value):
+    message = f"coefficient {re.escape(repr(value))} at frequency \\(0, 0\\) must be a number"
+    with pytest.raises(DomainError, match=message):
+        TrigPolynomial({(0, 0): value})
+
+
+def test_trig_accepts_numeric_scalar_coefficients():
+    values = [2, 2.0, 2 + 0j, np.int8(2), np.uint64(2), np.float32(2.0), np.float64(2.0), np.complex64(2.0)]
+    for value in values:
+        assert TrigPolynomial({(0, 0): value}).coefficients() == {(0, 0): 2.0 + 0j}
+
+
 def test_trig_refuses_arithmetic_that_overflows():
     with pytest.raises(DomainError, match="must be finite"):
         TrigPolynomial({(1, 0): 1e308}) * 10.0
