@@ -30,9 +30,13 @@ takes.  The four maps together carry the 2N x 2N grids one-to-one onto four
 copies of M_N: the stacked map is sqrt(1/N) times a unitary, so its inverse
 is N times its adjoint.  For each c1 the (h, i, j) above name the entries
 with row + column = c1 mod 2 once each, so together they read the 4N^2
-entries of F2 a in one fixed permutation, built once per N; the forward map
-takes it after the row DFT, and the adjoint writes the sum and the
-difference of the blocks through it before one row inverse DFT.
+entries of F2 a in one fixed permutation, built once per N.  The forward
+map copies its grids once, runs the row DFT in place on that copy, takes
+the permutation and frees the copy, then writes the sum and the difference
+over h into one preallocated stack of blocks.  The adjoint writes the sum
+and the difference of the blocks through the permutation into one fresh
+grid, runs the row inverse DFT and the scaling in place on it, and hands
+that grid over.  Both maps give the same bits as their out-of-place forms.
 a # b is the inverse of the four products Q_c(a) Q_c(b), and {a, b} that
 of the four commutators, which makes {a, a} exactly zero.  Each costs
 O(N^3) for the products and O(N^2 log N) for the transforms; the test
@@ -65,7 +69,7 @@ import numpy as np
 from .errors import DomainError
 from .quantize import quantize_sampled
 from .rep import Representation, _check_operator, _finite_real, _is_integer
-from .symbols import SampledSymbol, TrigPolynomial, _same_rep, sample
+from .symbols import SampledSymbol, TrigPolynomial, _handed_over, _same_rep, sample
 
 __all__ = [
     "HamiltonianSystem",
@@ -90,34 +94,45 @@ def _block_picks(n: int) -> np.ndarray:
     return picks
 
 
-def _to_blocks(grids: np.ndarray) -> np.ndarray:
+def _to_blocks(grids) -> np.ndarray:
     """The blocks of 2N x 2N grids on the last two axes, on new axes (c2, c1) before them:
     Q_c for c2 = 0 and D Q_c D* for c2 = 1, D = diag(exp(i pi j / N)).  Products,
     commutators and eigenbases carry the fixed unitary D through, and _from_blocks
-    takes it back, so no caller sees it (see the module notes)."""
-    picked = np.fft.fft(grids, axis=-1, norm="forward").reshape(grids.shape[:-2] + (-1,))
-    picked = picked.take(_block_picks(grids.shape[-1] // 2), axis=-1)
+    takes it back, so no caller sees it (see the module notes).  grids is an array
+    or a sequence of equal grids; its one copy is transformed in place and freed
+    after the take, and the butterfly is written into the returned array."""
+    spectrum = np.array(grids, dtype=complex)
+    np.fft.fft(spectrum, axis=-1, norm="forward", out=spectrum)
+    picks = _block_picks(spectrum.shape[-1] // 2)
+    picked = spectrum.reshape(spectrum.shape[:-2] + (-1,)).take(picks, axis=-1)
+    del spectrum
     even, odd = picked[..., 0, :, :], picked[..., 1, :, :]
-    return np.stack([even + odd, even - odd], axis=-4)
+    blocks = np.empty_like(picked)  # (c1, h) axes in, (c2, c1) out
+    np.add(even, odd, out=blocks[..., 0, :, :, :])
+    np.subtract(even, odd, out=blocks[..., 1, :, :, :])
+    return blocks
 
 
 def _from_blocks(blocks: np.ndarray) -> np.ndarray:
     """The grid whose blocks, Q_c for c2 = 0 and D Q_c D* for c2 = 1 as _to_blocks gives
     them, are blocks[c2, c1] of one (2, 2, N, N) stack: the inverse of _to_blocks, so the
-    D of a block made there cancels here."""
+    D of a block made there cancels here.  The scattered spectrum is inverse-transformed
+    and scaled in place, and is the fresh grid returned."""
     n = blocks.shape[-1]
     picks = _block_picks(n)
-    spectrum = np.empty(4 * n * n, dtype=complex)
+    grid = np.empty((2 * n, 2 * n), dtype=complex)
+    spectrum = grid.reshape(-1)
     spectrum[picks[:, 0]] = blocks[0] + blocks[1]
     spectrum[picks[:, 1]] = blocks[0] - blocks[1]
-    return n * np.fft.ifft(spectrum.reshape(2 * n, 2 * n), axis=-1)
+    np.fft.ifft(grid, axis=-1, out=grid)
+    return np.multiply(n, grid, out=grid)
 
 
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Noncommutative product a # b; quantizes to the operator product."""
     rep = _same_rep(a, b)
-    left, right = _to_blocks(np.stack([a.grid, b.grid]))
-    return SampledSymbol(_from_blocks(left @ right), rep)
+    left, right = _to_blocks((a.grid, b.grid))
+    return SampledSymbol(_handed_over(_from_blocks(left @ right)), rep)
 
 
 def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
@@ -125,8 +140,8 @@ def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     kernel (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); quantizes to the
     commutator."""
     rep = _same_rep(a, b)
-    left, right = _to_blocks(np.stack([a.grid, b.grid]))
-    return SampledSymbol(_from_blocks(left @ right - right @ left), rep)
+    left, right = _to_blocks((a.grid, b.grid))
+    return SampledSymbol(_handed_over(_from_blocks(left @ right - right @ left)), rep)
 
 
 def poisson_bracket(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
@@ -223,20 +238,26 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
         raise DomainError("steps must be below 2**1024") from None
     n = rep.dim
     spectrum = np.fft.fft2(system.hamiltonian.grid)
-    moving = np.abs(spectrum) > 1e-13 * np.max(np.abs(spectrum))
+    magnitude = np.abs(spectrum)
+    moving = magnitude > 1e-13 * np.max(magnitude)
     moving[::n, ::n] = False  # modes in {0, N}^2 commute with every symbol
     if not moving.any():
         return start
-    energy_blocks, start_blocks = _to_blocks(
-        np.stack([np.fft.ifft2(np.where(moving, spectrum, 0)), start.grid])
-    )
-    energies, vectors = np.linalg.eigh(energy_blocks)
+    spectrum[~moving] = 0
+    energy = np.fft.ifft2(spectrum)  # numpy ignores out= on ifft2, so this is a new grid
+    del spectrum, magnitude, moving
+    blocks = _to_blocks((energy, start.grid))
+    del energy
+    energies, vectors = np.linalg.eigh(blocks[0])
     reach = 2 * math.pi * n * abs(dt) * float(np.max(energies[..., -1] - energies[..., 0]))
     if reach > 2 * math.sqrt(2):
         raise DomainError(
             f"t={t!r} with steps={steps} is past the RK4 stability limit: "
             f"2 pi N |t/steps| (E_max - E_min) = {reach:.6e} > 2 sqrt(2) = {2 * math.sqrt(2):.6e}"
         )
+    adjoint = vectors.conj().swapaxes(-2, -1)
+    gain = adjoint @ blocks[1] @ vectors
+    del blocks
     # R(iy) = 1 - y^2/2 + y^4/24 + i (y - y^3/6) with |R(iy)|^2 = 1 - y^6/72 + y^8/576.
     # Taking the power in polar form, through log1p of |R|^2 - 1, keeps
     # |R|^steps accurate to rounding for any step count.
@@ -245,7 +266,9 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     log_r = 0.5 * np.log1p(y2**3 * (y2 / 576 - 1 / 72)) + 1j * np.arctan2(
         y * (1 - y2 / 6), 1 - y2 / 2 + y2 * y2 / 24
     )
-    adjoint = vectors.conj().swapaxes(-2, -1)
+    del y, y2
     # Only the change is transformed back, so rounding stays at the size of the change.
-    gain = np.expm1(float(steps) * log_r) * (adjoint @ start_blocks @ vectors)
-    return SampledSymbol(start.grid + _from_blocks(vectors @ gain @ adjoint), rep)
+    np.multiply(np.expm1(float(steps) * log_r), gain, out=gain)
+    del log_r
+    change = _from_blocks(vectors @ gain @ adjoint)
+    return SampledSymbol(_handed_over(np.add(start.grid, change, out=change)), rep)

@@ -74,7 +74,6 @@ def operator_from_reduced(reduced: np.ndarray) -> np.ndarray:
     n = red.shape[0]
     k = np.arange(n)
     chirp = (np.exp(np.arange(2 * n) * (-1j * np.pi / n)) / (2 * n)).take(k[:, None] * k % (2 * n))
-    rows = np.fft.ifft(np.multiply(chirp, red, out=chirp), axis=1, norm="forward").ravel()
-    del chirp  # freed before the index and the operator are allocated
+    rows = np.fft.ifft(np.multiply(chirp, red, out=chirp), axis=1, norm="forward", out=chirp)
     # Entry (m, l) sits at N ((m + l) % N) + m, which is N (m + l) + m wrapped at N^2.
-    return rows.take((n + 1) * k[:, None] + n * k, mode="wrap")
+    return rows.ravel().take((n + 1) * k[:, None] + n * k, mode="wrap")

@@ -187,7 +187,7 @@ def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
         rows.setdefault(n1 % side, np.zeros(side, dtype=complex))[n2 % side] += c * theta_phase
     grid = np.zeros((side, side), dtype=complex)
     grid[list(rows)] = np.fft.ifft(np.reshape(list(rows.values()), (-1, side)), axis=1, norm="forward")
-    grid = np.fft.ifft(grid, axis=0, norm="forward")  # frees the zero-padded rows
+    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
     return SampledSymbol(_handed_over(grid), rep)
 
 

@@ -71,7 +71,9 @@ def _core(a: np.ndarray) -> np.ndarray:
     n = len(a)
     r, l = np.arange(n)[:, None], np.arange(n)
     twist = np.exp(1j * np.pi * np.arange(2 * n) / n).take((r * l) % (2 * n))
-    block = twist * np.fft.fft(a.ravel().take(l * (n - 1) + r + n * (r < l)), axis=1) / (2 * n)
+    block = a.ravel().take(l * (n - 1) + r + n * (r < l))
+    np.fft.fft(block, axis=1, out=block)
+    np.divide(np.multiply(twist, block, out=block), 2 * n, out=block)
     del twist  # freed before the 2N x 2N extension is allocated
     return symmetric_extension(block)
 

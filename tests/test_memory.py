@@ -1,12 +1,16 @@
 """Peak memory of the lattice kernels, in units of one 2N x 2N complex grid.
 
-The bounds of sample and wigner_state are their peaks when every grid was
-copied on construction (3.0703 and 2.3904 with numpy 2.4), rounded to 3.07
-and 2.39.  dequantize (3.07 then) and check_symmetries (2.0 then) must stay
-at or below 2.2 and 1.0, since neither copies its grid nor builds a full
-extension any more.  delta, operator_from_reduced and quantize_sampled, which
-is the one after the other, peak at 1.1372, 0.6373 and 1.1372 (numpy 2.4),
-rounded up to 1.14, 0.64 and 1.14.
+The bound of wigner_state is its peak when every grid was copied on
+construction (2.3904 with numpy 2.4), rounded to 2.39.  sample was bounded
+the same way at 3.07; since its inverse FFT runs in place it peaks at
+1.3438, rounded up to 1.35.  dequantize (3.07 then) and check_symmetries
+(2.0 then) must stay at or below 2.2 and 1.0, since neither copies its grid
+nor builds a full extension any more.  delta, operator_from_reduced and
+quantize_sampled, which is the one after the other, peak at 1.1372, 0.6373
+and 1.1372 (numpy 2.4), rounded up to 1.14, 0.64 and 1.14.  Since the Moyal
+block maps run their FFTs in place, moyal_product and moyal_bracket peak at
+4.7665 (8.0052 before), rounded up to 4.77, and evolve_symbol at 6.5208
+(11.0861 before), rounded up to 6.53.
 """
 import tracemalloc
 
@@ -14,12 +18,16 @@ import numpy as np
 import pytest
 
 from torusq import (
+    HamiltonianSystem,
     Representation,
     SampledSymbol,
     TrigPolynomial,
     check_symmetries,
     delta,
     dequantize,
+    evolve_symbol,
+    moyal_bracket,
+    moyal_product,
     operator_from_reduced,
     quantize_sampled,
     sample,
@@ -37,15 +45,20 @@ PSI, PHI = OP[0].copy(), OP[1].copy()
 SYM = SampledSymbol(_rng.standard_normal((2 * N, 2 * N)) + 1j * _rng.standard_normal((2 * N, 2 * N)), REP)
 TABLE = wigner_state(REP, PSI, PHI)
 RED = delta(SYM)
+OTHER = SampledSymbol(_rng.standard_normal((2 * N, 2 * N)) + 1j * _rng.standard_normal((2 * N, 2 * N)), REP)
+SYSTEM = HamiltonianSystem(sample(TrigPolynomial({(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5}), REP))
 
 CALLS = {
-    "sample": (lambda: sample(TP, REP), 3.07),
+    "sample": (lambda: sample(TP, REP), 1.35),
     "wigner_state": (lambda: wigner_state(REP, PSI, PHI), 2.39),
     "quantize_sampled": (lambda: quantize_sampled(SYM), 1.14),
     "delta": (lambda: delta(SYM), 1.14),
     "operator_from_reduced": (lambda: operator_from_reduced(RED), 0.64),
     "dequantize": (lambda: dequantize(REP, OP), 2.2),
     "check_symmetries": (lambda: check_symmetries(TABLE), 1.0),
+    "moyal_product": (lambda: moyal_product(SYM, OTHER), 4.77),
+    "moyal_bracket": (lambda: moyal_bracket(SYM, OTHER), 4.77),
+    "evolve_symbol": (lambda: evolve_symbol(SYSTEM, SYM, 0.01, 10), 6.53),
 }
 
 

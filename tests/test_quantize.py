@@ -18,6 +18,7 @@ from torusq import (
     quantize_sampled,
     sample,
 )
+from torusq.selftest import _row_fft_reading
 
 
 def test_constant_symbol_gives_identity():
@@ -75,16 +76,7 @@ def test_reduced_inversion_composes_to_quantization():
             g = rng.standard_normal((2 * dim, 2 * dim)) + 1j * rng.standard_normal((2 * dim, 2 * dim))
             sym = SampledSymbol(g, rep)
             rebuilt = operator_from_reduced(delta(sym))
-            assert np.max(np.abs(rebuilt - quantize_sampled(sym))) < 1e-12
-
-
-def _row_fft_reading(grid: np.ndarray) -> np.ndarray:
-    """(1 / 2N) [F2 a(j + n, j - n) + F2 a(j + n + N, j - n + N)] read off a 2N-point FFT of each row."""
-    side = len(grid)
-    dim = side // 2
-    f2 = np.fft.fft(grid, axis=1)
-    n, j = np.arange(dim)[:, None], np.arange(dim)
-    return (f2[(j + n) % side, (j - n) % side] + f2[(j + n + dim) % side, (j - n + dim) % side]) / side
+            assert np.max(np.abs(rebuilt - _row_fft_reading(g))) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [7, 16, 64, 128])
