@@ -2,8 +2,8 @@
 
 Every N x N operator is N times its own Wigner table when read as a
 sampled symbol; quantizing that symbol returns the operator, which makes
-dequantize a right inverse of the sampled quantization.  The canonical
-class picks the distinguished representative 4N times the principal block.
+dequantize a right inverse of the sampled quantization.  The grid extends
+the canonical class over 4 (see quantize), so its fold is that class itself.
 
 For N = 2 the construction reproduces the Pauli matrices, and for general N
 the matrices B[r, s] built here form a generalized Pauli basis of the full
@@ -14,13 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .rep import Representation, _check_operator, _is_integer
-from .symbols import SampledSymbol, TrigPolynomial, _handed_over, delta
-from .wigner import _core
+from .quantize import canonical_class
+from .rep import Representation, _is_integer
+from .symbols import SampledSymbol, TrigPolynomial, _handed_over, symmetric_extension
 
 __all__ = [
     "dequantize",
-    "canonical_class",
     "pauli",
     "pauli_symbols",
     "big_pauli",
@@ -30,17 +29,8 @@ __all__ = [
 
 def dequantize(rep: Representation, operator) -> SampledSymbol:
     """Canonical symbol of an operator: N times its Wigner table."""
-    grid = _core(_check_operator(rep, operator))
-    return SampledSymbol(_handed_over(np.multiply(rep.dim, grid, out=grid)), rep)
-
-
-def canonical_class(rep: Representation, operator) -> np.ndarray:
-    """Distinguished reduced symbol of an operator.
-
-    Computed as the fold of the dequantized grid, which equals 4N times the
-    principal block of the operator's Wigner table.
-    """
-    return delta(dequantize(rep, operator))
+    red = canonical_class(rep, operator)
+    return SampledSymbol(_handed_over(symmetric_extension(np.multiply(red, 0.25, out=red))), rep)
 
 
 def pauli(rep: Representation):

@@ -1,24 +1,24 @@
-"""Weyl quantization of torus symbols into N x N operators.
+"""Weyl quantization of torus symbols into N x N operators, and its inverse on the fold.
 
 Two routes are provided and must agree: the Fourier route sums group
 elements weighted by the Fourier coefficients of a trigonometric
 polynomial, while the sampled route goes through the fold, since two grids
 give the same operator exactly when their folds agree: quantize_sampled(sym)
-is operator_from_reduced(delta(sym)).  That inversion is one N-point inverse
-FFT per row of the reduced symbol red,
+is operator_from_reduced(delta(sym)), one N-point inverse FFT per row of the
+reduced symbol red times a chirp, read back by one take of the anti-diagonals:
 
     P[k, m] = (1 / 2N) sum_s red[k, s] exp(-i pi k s / N) exp(2 i pi s m / N),
 
-read by one take: the operator entry in row m, column l is P[(m + l) % N, m]
-(the wrap sign of the 2N-point form cancels, see operator_from_reduced), so
-the route costs O(N^2 log N).
+and the operator entry in row m, column l is P[(m + l) % N, m], in O(N^2 log N).
+canonical_class runs the same steps backwards; every Wigner table and
+dequantize extend its reduced symbol to the 2N x 2N lattice.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionError
-from .rep import Representation, _group_sum
+from .rep import Representation, _check_operator, _group_sum
 from .symbols import SampledSymbol, TrigPolynomial, delta
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "quantize_sampled",
     "adjoint_symbol",
     "operator_from_reduced",
+    "canonical_class",
 ]
 
 
@@ -69,11 +70,27 @@ def operator_from_reduced(reduced: np.ndarray) -> np.ndarray:
     fold operator; composing with it is quantize_sampled.
     """
     red = np.asarray(reduced, dtype=complex)
-    if red.ndim != 2 or red.shape[0] != red.shape[1]:
-        raise DimensionError(f"reduced symbol must be square, got shape {red.shape}")
-    n = red.shape[0]
-    k = np.arange(n)
-    chirp = (np.exp(np.arange(2 * n) * (-1j * np.pi / n)) / (2 * n)).take(k[:, None] * k % (2 * n))
+    if red.ndim != 2 or red.shape[0] != red.shape[1] or not red.size:
+        raise DimensionError(f"reduced symbol must be square and non-empty, got shape {red.shape}")
+    chirp, slots = _anti_diagonals(len(red), -1, 2 * len(red))
     rows = np.fft.ifft(np.multiply(chirp, red, out=chirp), axis=1, norm="forward", out=chirp)
-    # Entry (m, l) sits at N ((m + l) % N) + m, which is N (m + l) + m wrapped at N^2.
-    return rows.ravel().take((n + 1) * k[:, None] + n * k, mode="wrap")
+    return rows.ravel().take(slots, mode="wrap")
+
+
+def canonical_class(rep: Representation, operator) -> np.ndarray:
+    """Distinguished reduced symbol of an operator, the exact inverse of operator_from_reduced:
+    red[r, s] = 2 exp(i pi r s / N) sum_l A[l, (r - l) % N] exp(-2 i pi l s / N), which is
+    4N times the principal block of the operator's Wigner table and N times its fold."""
+    a = _check_operator(rep, operator)
+    twist, slots = _anti_diagonals(rep.dim, 1, 0.5)
+    red = np.empty_like(twist)
+    np.put(red, slots, a, mode="wrap")  # red[(m + l) % N, m] = A[m, l]
+    return np.multiply(twist, np.fft.fft(red, axis=1, out=red), out=red)
+
+
+def _anti_diagonals(n: int, sign: int, divisor: float) -> tuple:
+    """The chirp exp(sign i pi k s / N) / divisor for k, s < N, one exponential per k s mod 2N,
+    and the slot N ((m + l) % N) + m, wrapped at N^2, of entry (m, l) in the table of anti-diagonals."""
+    k = np.arange(n)
+    chirp = (np.exp(np.arange(2 * n) * (sign * 1j * np.pi / n)) / divisor).take(k[:, None] * k % (2 * n))
+    return chirp, (n + 1) * k[:, None] + n * k

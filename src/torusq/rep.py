@@ -69,10 +69,13 @@ class Representation:
 
 
 def _check_operator(rep: Representation, operator) -> np.ndarray:
-    """operator as a complex array; DimensionError unless it is rep.dim x rep.dim."""
+    """operator as a complex array; DimensionError unless it is rep.dim x rep.dim,
+    DomainError unless its entries are finite."""
     a = np.asarray(operator, dtype=complex)
     if a.shape != (rep.dim, rep.dim):
         raise DimensionError(f"operator must be {rep.dim} x {rep.dim}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("operator entries must be finite")
     return a
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .rep import Representation, _is_integer
+from .rep import Representation, _finite_real, _is_integer
 
 __all__ = [
     "TrigPolynomial",
@@ -162,9 +162,9 @@ class SampledSymbol:
 
 
 def evaluate(tp: TrigPolynomial, x: float, p: float) -> complex:
-    """Value of the Fourier sum at (x mod 1, p mod 1)."""
-    x = float(x) % 1.0
-    p = float(p) % 1.0
+    """Value of the Fourier sum at (x mod 1, p mod 1); DomainError unless x and p are finite real numbers."""
+    x = _finite_real(x, "x") % 1.0
+    p = _finite_real(p, "p") % 1.0
     total = 0j
     for (n1, n2), c in tp.items():
         total += c * cmath.exp(2j * cmath.pi * (n1 * x + n2 * p))
@@ -213,8 +213,8 @@ def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
 def symmetric_extension(block: np.ndarray) -> np.ndarray:
     """Extend an N x N principal block to the 2N x 2N grid via S1 to S3 (delta's adjoint)."""
     b = np.asarray(block, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DimensionError(f"principal block must be square, got shape {b.shape}")
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
+        raise DimensionError(f"principal block must be square and non-empty, got shape {b.shape}")
     n = len(b)
     grid = np.empty((2 * n, 2 * n), dtype=complex)
     grid[:n, :n] = b
@@ -250,8 +250,11 @@ def kernel_element(rep: Representation, seed: int) -> SampledSymbol:
 
     The three non-principal blocks are free standard normal draws and the
     principal block is solved to cancel them, so delta of the result is the
-    zero matrix bit for bit.  Seed 0 returns the zero grid.
+    zero matrix bit for bit.  Seed 0 returns the zero grid; a seed that is a bool, not an
+    integer or negative raises DomainError.
     """
+    if not _is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     n = rep.dim
     side = 2 * n
     grid = np.zeros((side, side), dtype=complex)

@@ -8,11 +8,11 @@ three symmetries
     S2:  W(m, l + N) = (-1)^m W(m, l)
     S3:  W(m + N, l + N) = (-1)^(m + l + N) W(m, l)
 
-propagate it to the rest of the grid (the ghost copies).  Every table comes
-from one kernel on an N x N operator, a state pair (psi, phi) through the
-rank-one operator phi psi^*: one FFT per row gives the principal block, and
-symmetric_extension, whose signs live in symbols beside the fold, fills the
-ghost copies, so S1 to S3 hold bit for bit by construction.
+propagate it to the rest of the grid (the ghost copies).  An operator's
+principal block is its canonical class over 4N (see quantize), a state pair
+(psi, phi) being the rank-one operator phi psi^*; symmetric_extension, whose
+signs live in symbols beside the fold, fills the ghost copies, so S1 to S3
+hold bit for bit by construction.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .rep import Representation, _check_operator, heisenberg
+from .quantize import canonical_class
+from .rep import Representation, heisenberg
 from .symbols import SampledSymbol, _frozen_grid, _ghost_blocks, _handed_over, symmetric_extension
 
 __all__ = [
@@ -61,21 +62,15 @@ def _check_state(rep: Representation, psi: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(psi, dtype=complex)
     if vec.shape != (rep.dim,):
         raise DimensionError(f"{name} must be a length-{rep.dim} vector, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise DomainError(f"{name} entries must be finite")
     return vec
 
 
-def _core(a: np.ndarray) -> np.ndarray:
-    # Principal block: (1/2N) sum_l A[l, r - l] exp(-i pi (2l - r) s / N) is the row
-    # FFT of A[l, r - l] times exp(i pi r s / N); S1 to S3 give the ghost blocks.
-    # A[l, (r - l) % N] sits at flat index l N + r - l, plus N where r < l.
-    n = len(a)
-    r, l = np.arange(n)[:, None], np.arange(n)
-    twist = np.exp(1j * np.pi * np.arange(2 * n) / n).take((r * l) % (2 * n))
-    block = a.ravel().take(l * (n - 1) + r + n * (r < l))
-    np.fft.fft(block, axis=1, out=block)
-    np.divide(np.multiply(twist, block, out=block), 2 * n, out=block)
-    del twist  # freed before the 2N x 2N extension is allocated
-    return symmetric_extension(block)
+def _table(rep: Representation, operator, kind: str) -> WignerTable:
+    red = canonical_class(rep, operator)
+    np.multiply(red, 0.25 / rep.dim, out=red)  # the principal block, 1/4N of the class
+    return WignerTable(_handed_over(symmetric_extension(red)), rep, kind)
 
 
 def fourier_wigner(rep: Representation, psi, phi, n1: int, n2: int) -> complex:
@@ -93,7 +88,7 @@ def wigner_state(rep: Representation, psi, phi) -> WignerTable:
     """
     psi = _check_state(rep, psi, "psi")
     phi = _check_state(rep, phi, "phi")
-    return WignerTable(_handed_over(_core(np.conj(psi) * phi[:, None])), rep, KIND_STATE_PAIR)
+    return _table(rep, np.conj(psi) * phi[:, None], KIND_STATE_PAIR)
 
 
 def wigner_operator(rep: Representation, operator) -> WignerTable:
@@ -101,7 +96,7 @@ def wigner_operator(rep: Representation, operator) -> WignerTable:
 
     W(r, s) = (1/2N) sum_{l in Z_N} A[l, r - l] exp(-i pi (2l - r) s / N).
     """
-    return WignerTable(_handed_over(_core(_check_operator(rep, operator))), rep, KIND_OPERATOR)
+    return _table(rep, operator, KIND_OPERATOR)
 
 
 def marginal_x(table: WignerTable) -> np.ndarray:

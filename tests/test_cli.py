@@ -445,6 +445,23 @@ def test_selftest_battery():
     assert sum(1 for line in lines if " PASS " in line) == 12
 
 
+def test_importing_the_cli_leaves_the_battery_unloaded():
+    code = "import sys, torusq.cli; print('torusq.selftest' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_selftest_without_a_seed_runs_the_default_seed(monkeypatch, capsys):
+    import torusq.selftest as selftest
+
+    seeds = []
+    monkeypatch.setattr(selftest, "run", lambda seed: seeds.append(seed) or [])
+    assert cli.main(["selftest"]) == 0
+    assert seeds == [selftest.DEFAULT_SEED]
+    assert capsys.readouterr().out == "0/0 criteria passed\n"
+
+
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-5"], ["--seed", "1.5"], ["--seed", "x"]])
 def test_selftest_refuses_a_seed_that_is_not_a_non_negative_integer(capsys, argv):
     assert cli.main(["selftest", *argv]) == 2

@@ -69,6 +69,15 @@ def test_canonical_class_of_pauli_symbols():
     assert np.max(np.abs(canonical_class(rep, SY) - np.array([[0, 0], [0, 4]]))) < 1e-13
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("kernel", [dequantize, canonical_class])
+def test_non_finite_operator_is_refused(kernel, value):
+    op = np.eye(3, dtype=complex)
+    op[1, 2] = value
+    with pytest.raises(DomainError, match="operator entries must be finite"):
+        kernel(Representation(0.2, 0.6, 3), op)
+
+
 def test_pauli_returns_standard_matrices():
     rep = Representation(0.9, 0.4, 2)
     identity, sigma_x, sigma_y, sigma_z = pauli(rep)

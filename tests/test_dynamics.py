@@ -77,6 +77,15 @@ def test_operator_shape_checked():
         evolve_operator(system, np.eye(2), 0.1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
+def test_non_finite_operator_is_refused(value):
+    system, _ = generic_system(3, 25)
+    op = np.eye(3, dtype=complex)
+    op[0, 1] = value
+    with pytest.raises(DomainError, match="operator entries must be finite"):
+        evolve_operator(system, op, 0.1)
+
+
 def test_symbol_steps_validated():
     system, rng = generic_system(2, 25)
     a = SampledSymbol(rng.standard_normal((4, 4)) + 0j, system.rep)

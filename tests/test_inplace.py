@@ -14,6 +14,7 @@ from torusq import (
     Representation,
     SampledSymbol,
     TrigPolynomial,
+    canonical_class,
     delta,
     dequantize,
     evolve_symbol,
@@ -37,6 +38,7 @@ CALLS = {
     "wigner_state": lambda d: wigner_state(d["rep"], d["psi"], d["phi"]),
     "wigner_operator": lambda d: wigner_operator(d["rep"], d["op"]),
     "dequantize": lambda d: dequantize(d["rep"], d["op"]),
+    "canonical_class": lambda d: canonical_class(d["rep"], d["op"]),
     "operator_from_reduced": lambda d: operator_from_reduced(d["red"]),
 }
 
@@ -70,7 +72,7 @@ def test_inputs_stay_unchanged_and_grids_are_owned(name, dim):
     before = [x.tobytes() for x in arrays]
     out = CALLS[name](inputs)
     assert [x.tobytes() for x in arrays] == before
-    if name == "operator_from_reduced":
+    if name in ("operator_from_reduced", "canonical_class"):
         assert not any(np.shares_memory(out, x) for x in arrays)
     else:
         assert out.grid.flags.owndata and not out.grid.flags.writeable

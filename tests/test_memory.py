@@ -10,7 +10,10 @@ quantize_sampled, which is the one after the other, peak at 1.1372, 0.6373
 and 1.1372 (numpy 2.4), rounded up to 1.14, 0.64 and 1.14.  Since the Moyal
 block maps run their FFTs in place, moyal_product and moyal_bracket peak at
 4.7665 (8.0052 before), rounded up to 4.77, and evolve_symbol at 6.5208
-(11.0861 before), rounded up to 6.53.
+(11.0861 before), rounded up to 6.53.  canonical_class, computed directly
+as the inverse of operator_from_reduced rather than as the fold of the
+dequantized 2N x 2N grid, peaks at 0.6369 (2.1389 before), rounded up to
+0.64; it builds no 2N x 2N grid.
 """
 import tracemalloc
 
@@ -22,6 +25,7 @@ from torusq import (
     Representation,
     SampledSymbol,
     TrigPolynomial,
+    canonical_class,
     check_symmetries,
     delta,
     dequantize,
@@ -55,6 +59,7 @@ CALLS = {
     "delta": (lambda: delta(SYM), 1.14),
     "operator_from_reduced": (lambda: operator_from_reduced(RED), 0.64),
     "dequantize": (lambda: dequantize(REP, OP), 2.2),
+    "canonical_class": (lambda: canonical_class(REP, OP), 0.64),
     "check_symmetries": (lambda: check_symmetries(TABLE), 1.0),
     "moyal_product": (lambda: moyal_product(SYM, OTHER), 4.77),
     "moyal_bracket": (lambda: moyal_bracket(SYM, OTHER), 4.77),

@@ -10,6 +10,7 @@ from torusq import (
     TrigPolynomial,
     adjoint_symbol,
     big_pauli,
+    canonical_class,
     delta,
     heisenberg,
     kernel_element,
@@ -162,6 +163,25 @@ def test_reduced_constant_scalar_case():
 def test_reduced_requires_square_input():
     with pytest.raises(DimensionError):
         operator_from_reduced(np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match="must be square and non-empty"):
+        operator_from_reduced(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 128])
+def test_canonical_class_inverts_operator_from_reduced(dim):
+    rng = np.random.default_rng(900 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    assert np.max(np.abs(operator_from_reduced(canonical_class(rep, a)) - a)) <= 1e-12 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 128])
+def test_canonical_class_of_a_quantized_grid_is_its_fold(dim):
+    rng = np.random.default_rng(950 + dim)
+    rep = Representation(rng.uniform(), rng.uniform(), dim)
+    sym = SampledSymbol(rng.standard_normal((2 * dim, 2 * dim)) + 1j * rng.standard_normal((2 * dim, 2 * dim)), rep)
+    red = delta(sym)
+    assert np.max(np.abs(canonical_class(rep, quantize_sampled(sym)) - red)) <= 1e-12 * np.max(np.abs(red))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])

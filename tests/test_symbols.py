@@ -264,6 +264,26 @@ def test_kernel_element_seed_zero_is_zero_grid():
     assert np.all(kernel_element(rep, 0).grid == 0.0)
 
 
+@pytest.mark.parametrize("seed", [True, False, -1, 1.5, 2.0, "3", None])
+def test_kernel_element_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        kernel_element(Representation(0.2, 0.5, 3), seed)
+
+
+def test_kernel_element_takes_a_numpy_integer_seed():
+    rep = Representation(0.2, 0.5, 3)
+    assert np.array_equal(kernel_element(rep, np.int64(7)).grid, kernel_element(rep, 7).grid)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1j, True, "0.5", None])
+def test_evaluate_refuses_a_point_that_is_not_a_finite_real_number(bad):
+    tp = TrigPolynomial({(1, 2): 1.0})
+    with pytest.raises(DomainError, match="x must be a finite real number"):
+        evaluate(tp, bad, 0.25)
+    with pytest.raises(DomainError, match="p must be a finite real number"):
+        evaluate(tp, 0.25, bad)
+
+
 def test_kernel_element_nontrivial():
     rep = Representation(0.2, 0.5, 3)
     assert np.max(np.abs(kernel_element(rep, 7).grid)) > 1e-3

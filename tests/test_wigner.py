@@ -227,6 +227,22 @@ def test_state_length_checked():
         wigner_operator(rep, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(-np.inf, 1.0)])
+def test_non_finite_inputs_are_refused(value):
+    rep = Representation(0.3, 0.9, 3)
+    bad = np.ones(3, dtype=complex)
+    bad[1] = value
+    op = np.eye(3, dtype=complex)
+    op[2, 0] = value
+    with pytest.raises(DomainError, match="operator entries must be finite"):
+        wigner_operator(rep, op)
+    for psi, phi, name in ((bad, np.ones(3), "psi"), (np.ones(3), bad, "phi")):
+        with pytest.raises(DomainError, match=f"{name} entries must be finite"):
+            wigner_state(rep, psi, phi)
+        with pytest.raises(DomainError, match=f"{name} entries must be finite"):
+            fourier_wigner(rep, psi, phi, 1, 2)
+
+
 def test_table_validation():
     rep = Representation(0.0, 0.0, 2)
     with pytest.raises(DomainError):
@@ -248,3 +264,5 @@ def test_symmetric_extension_requires_square_block():
         symmetric_extension(np.zeros((2, 3)))
     with pytest.raises(DimensionError, match="principal block must be square"):
         symmetric_extension(np.zeros((2, 3, 3)))
+    with pytest.raises(DimensionError, match="principal block must be square and non-empty"):
+        symmetric_extension(np.zeros((0, 0)))
