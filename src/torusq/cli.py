@@ -4,8 +4,9 @@ Subcommands cover the main workflows: quantize a symbol file, dequantize
 an operator file, build Wigner tables from state vectors, integrate
 Heisenberg dynamics on the symbol side, and run the acceptance battery.
 Exit codes: 0 success, 1 failed selftest, 2 unreadable or malformed
-input or command line, 3 inconsistent dimensions, 4 out-of-domain data.
-main maps each refused exception class to its code through EXIT_CODES.
+input or command line, 3 inconsistent dimensions, 4 out-of-domain data or
+a MemoryError, reported with the subcommand's name.  main maps each refused
+exception class to its code through EXIT_CODES.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .symbols import sample
 from .wigner import check_symmetries, marginal_p, marginal_x, wigner_state
 
 # Exit code of each refusal; an OSError subclass (a missing file, a directory) takes OSError's.
-EXIT_CODES = {FormatError: 2, OSError: 2, DimensionError: 3, DomainError: 4}
+EXIT_CODES = {FormatError: 2, OSError: 2, DimensionError: 3, DomainError: 4, MemoryError: 4}
 
 # Largest N the command line accepts; one 2N x 2N complex grid is then 268 MB.
 MAX_DIM = 2048
@@ -249,13 +250,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    command = "torusq"
     try:
         args = _build_parser().parse_args(argv)
+        command = args.command
         # A non-finite result is refused where it is checked or serialized
         # (exit 4), so numpy's overflow warnings would only clutter stderr.
         with np.errstate(all="ignore"):
             return args.handler(args)
     except tuple(EXIT_CODES) as exc:
+        if isinstance(exc, MemoryError):  # numpy's names the allocation; a bare one is empty
+            exc = MemoryError(f"{command} ran out of memory: {exc}".rstrip(": "))
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .quantize import canonical_class
-from .rep import Representation, _is_integer
-from .symbols import SampledSymbol, TrigPolynomial, _handed_over, symmetric_extension
+from .quantize import _extended_class
+from .rep import Representation, _checked, _is_integer
+from .symbols import SampledSymbol, TrigPolynomial
 
 __all__ = [
     "dequantize",
@@ -29,8 +29,7 @@ __all__ = [
 
 def dequantize(rep: Representation, operator) -> SampledSymbol:
     """Canonical symbol of an operator: N times its Wigner table."""
-    red = canonical_class(rep, operator)
-    return SampledSymbol(_handed_over(symmetric_extension(np.multiply(red, 0.25, out=red))), rep)
+    return SampledSymbol(_extended_class(_checked(operator, "operator", (rep.dim,) * 2), 0.25), rep)
 
 
 def pauli(rep: Representation):

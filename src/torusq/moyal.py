@@ -36,11 +36,10 @@ the permutation and frees the copy, then writes the sum and the difference
 over h into one preallocated stack of blocks.  The adjoint writes the sum
 and the difference of the blocks through the permutation into one fresh
 grid, runs the row inverse DFT and the scaling in place on it, and hands
-that grid over.  Both maps give the same bits as their out-of-place forms.
-a # b is the inverse of the four products Q_c(a) Q_c(b), and {a, b} that
-of the four commutators, which makes {a, a} exactly zero.  Each costs
-O(N^3) for the products and O(N^2 log N) for the transforms; the test
-suite pins both against the literal sums.
+that grid over.  a # b is the inverse of the four products Q_c(a) Q_c(b),
+and {a, b} that of the four commutators, which makes {a, a} exactly zero.
+Each costs O(N^3) for the products and O(N^2 log N) for the transforms;
+the test suite pins both against the literal sums.
 
 Heisenberg dynamics integrates d a / dt = 2 i pi N {H, a} for a fixed
 real Hamiltonian H.  In the same blocks the bracket is the commutator,
@@ -68,7 +67,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quantize import quantize_sampled
-from .rep import Representation, _check_operator, _finite_real, _is_integer
+from .rep import Representation, _checked, _finite_real, _is_integer
 from .symbols import SampledSymbol, TrigPolynomial, _handed_over, _same_rep, sample
 
 __all__ = [
@@ -205,8 +204,8 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
     is exact up to diagonalization error at any t whose phases stay finite.
     """
     _finite_real(t, "t")
-    a = _check_operator(system.rep, operator)
     n = system.rep.dim
+    a = _checked(operator, "operator", (n, n))
     energies, vectors = np.linalg.eigh(system.operator())
     phases = 2 * np.pi * n * t * energies
     if not np.all(np.isfinite(phases)):

@@ -11,15 +11,16 @@ reduced symbol red times a chirp, read back by one take of the anti-diagonals:
 
 and the operator entry in row m, column l is P[(m + l) % N, m], in O(N^2 log N).
 canonical_class runs the same steps backwards; every Wigner table and
-dequantize extend its reduced symbol to the 2N x 2N lattice.
+dequantize extend its reduced symbol to the 2N x 2N lattice.  Both public
+maps check their array with rep._checked, then call an unchecked core, which
+quantize_sampled, dequantize and the Wigner tables call directly.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-from .rep import Representation, _check_operator, _group_sum
-from .symbols import SampledSymbol, TrigPolynomial, delta
+from .rep import Representation, _checked, _group_sum
+from .symbols import SampledSymbol, TrigPolynomial, _extension, _handed_over, delta
 
 __all__ = [
     "quantize_fourier",
@@ -46,7 +47,7 @@ def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
     with both grid indices taken mod 2N.  It depends on the grid only through
     its fold, and is computed as operator_from_reduced(delta(sym)).
     """
-    return operator_from_reduced(delta(sym))
+    return _from_reduced(delta(sym))
 
 
 def adjoint_symbol(sym: SampledSymbol) -> SampledSymbol:
@@ -69,9 +70,11 @@ def operator_from_reduced(reduced: np.ndarray) -> np.ndarray:
     chirp exp(-i pi k s / N) / 2N.  The input is the N x N output of the
     fold operator; composing with it is quantize_sampled.
     """
-    red = np.asarray(reduced, dtype=complex)
-    if red.ndim != 2 or red.shape[0] != red.shape[1] or not red.size:
-        raise DimensionError(f"reduced symbol must be square and non-empty, got shape {red.shape}")
+    return _from_reduced(_checked(reduced, "reduced symbol", (None, None)))
+
+
+def _from_reduced(red: np.ndarray) -> np.ndarray:
+    """operator_from_reduced of a checked complex reduced symbol."""
     chirp, slots = _anti_diagonals(len(red), -1, 2 * len(red))
     rows = np.fft.ifft(np.multiply(chirp, red, out=chirp), axis=1, norm="forward", out=chirp)
     return rows.ravel().take(slots, mode="wrap")
@@ -81,11 +84,22 @@ def canonical_class(rep: Representation, operator) -> np.ndarray:
     """Distinguished reduced symbol of an operator, the exact inverse of operator_from_reduced:
     red[r, s] = 2 exp(i pi r s / N) sum_l A[l, (r - l) % N] exp(-2 i pi l s / N), which is
     4N times the principal block of the operator's Wigner table and N times its fold."""
-    a = _check_operator(rep, operator)
-    twist, slots = _anti_diagonals(rep.dim, 1, 0.5)
+    return _class(_checked(operator, "operator", (rep.dim,) * 2))
+
+
+def _class(a: np.ndarray) -> np.ndarray:
+    """canonical_class of a checked complex operator."""
+    twist, slots = _anti_diagonals(len(a), 1, 0.5)
     red = np.empty_like(twist)
     np.put(red, slots, a, mode="wrap")  # red[(m + l) % N, m] = A[m, l]
     return np.multiply(twist, np.fft.fft(red, axis=1, out=red), out=red)
+
+
+def _extended_class(a: np.ndarray, scale: float) -> np.ndarray:
+    """scale times the canonical class of a checked complex operator, symmetrically extended to a
+    handed-over 2N x 2N grid: the grid of dequantize for scale 1/4, of a Wigner table for 1/4N."""
+    red = _class(a)
+    return _handed_over(_extension(np.multiply(red, scale, out=red)))
 
 
 def _anti_diagonals(n: int, sign: int, divisor: float) -> tuple:

@@ -3,7 +3,9 @@
 A representation is labelled by a point theta = (theta1, theta2) of the
 torus together with the dimension N; the effective Planck constant is 1/N.
 The group element (n1, n2) acts on the canonical basis by shifting the
-basis index by n2 and multiplying by clock phases in n1.
+basis index by n2 and multiplying by clock phases in n1.  Every operator,
+state, block and grid that enters the library passes one check, _checked;
+a public kernel checks, then calls a core that internal chains call directly.
 """
 from __future__ import annotations
 
@@ -68,14 +70,17 @@ class Representation:
             object.__setattr__(self, name, value)
 
 
-def _check_operator(rep: Representation, operator) -> np.ndarray:
-    """operator as a complex array; DimensionError unless it is rep.dim x rep.dim,
-    DomainError unless its entries are finite."""
-    a = np.asarray(operator, dtype=complex)
-    if a.shape != (rep.dim, rep.dim):
-        raise DimensionError(f"operator must be {rep.dim} x {rep.dim}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("operator entries must be finite")
+def _checked(value, name: str, shape: tuple) -> np.ndarray:
+    """value as a complex array, not copied when it is one already.  DimensionError unless its
+    shape is shape, each None standing for the first axis's length, at least 1; DomainError
+    naming the argument unless its entries are finite."""
+    a = np.asarray(value, dtype=complex)
+    n = a.shape[0] if a.ndim else 0
+    if a.shape != tuple(n if s is None else s for s in shape) or not a.size:
+        wanted = str(shape).replace("None", "n") + (" with n >= 1" if None in shape else "")
+        raise DimensionError(f"{name} must have shape {wanted}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} entries must be finite")
     return a
 
 

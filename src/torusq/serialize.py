@@ -8,7 +8,8 @@ written as the flat list of [re, im] pairs of its entries in row-major
 order.  Loaders validate the schema and raise FormatError for malformed
 documents, DimensionError for internally inconsistent sizes; trig_from_json
 raises DomainError for a frequency of magnitude 2**53 or more, and dumps
-for a non-finite number.
+for a non-finite number.  operator_to_json, state_to_json and lattice_csv
+refuse an empty or misshapen array and a non-finite entry, as the loaders do.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError
-from .rep import Representation
+from .rep import Representation, _checked
 from .symbols import SampledSymbol, TrigPolynomial
 from .wigner import KIND_OPERATOR, KIND_STATE_PAIR, WignerTable
 
@@ -210,9 +211,7 @@ def sampled_from_json(source) -> SampledSymbol:
 
 
 def operator_to_json(operator) -> str:
-    a = np.asarray(operator, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"operator must be square, got shape {a.shape}")
+    a = _checked(operator, "operator", (None, None))
     return dumps({"N": a.shape[0], "entries": a})
 
 
@@ -234,10 +233,7 @@ def wigner_from_json(source) -> WignerTable:
 
 
 def state_to_json(psi) -> str:
-    vec = np.asarray(psi, dtype=complex)
-    if vec.ndim != 1:
-        raise DimensionError(f"state must be a vector, got shape {vec.shape}")
-    return dumps(vec)
+    return dumps(_checked(psi, "state", (None,)))
 
 
 def state_from_json(source) -> np.ndarray:
@@ -253,10 +249,8 @@ def lattice_csv(grid, rep: Representation) -> str:
     Columns are x, p, re, im; rows run in row-major grid order with the
     coordinates reduced mod 1.  Presentation only, not a round-trip format.
     """
-    g = np.asarray(grid, dtype=complex)
     side = 2 * rep.dim
-    if g.shape != (side, side):
-        raise DimensionError(f"grid must be {side} x {side}, got shape {g.shape}")
+    g = _checked(grid, "grid", (side, side))
     x = (np.arange(side) / side + rep.theta1 / rep.dim) % 1.0
     p = (np.arange(side) / side + rep.theta2 / rep.dim) % 1.0
     table = np.column_stack((np.repeat(x, side), np.tile(p, side), g.real.ravel(), g.imag.ravel()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .rep import Representation, _finite_real, _is_integer
+from .rep import Representation, _checked, _finite_real, _is_integer
 
 __all__ = [
     "TrigPolynomial",
@@ -98,13 +98,7 @@ def _frozen_grid(grid, rep: Representation, name: str) -> np.ndarray:
     """grid as a read-only complex 2N x 2N array with finite entries, copied unless handed over."""
     owned = type(grid) is np.ndarray and grid.dtype == complex and grid.flags.owndata
     g = grid if owned and not grid.flags.writeable else np.array(grid, dtype=complex)
-    side = 2 * rep.dim
-    if g.shape != (side, side):
-        raise DimensionError(
-            f"{name} grid must be {side} x {side} for dim {rep.dim}, got shape {g.shape}"
-        )
-    if not np.all(np.isfinite(g)):
-        raise DomainError(f"{name} entries must be finite")
+    g = _checked(g, name, (2 * rep.dim,) * 2)
     g.setflags(write=False)
     return g
 
@@ -212,14 +206,16 @@ def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:
 
 def symmetric_extension(block: np.ndarray) -> np.ndarray:
     """Extend an N x N principal block to the 2N x 2N grid via S1 to S3 (delta's adjoint)."""
-    b = np.asarray(block, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
-        raise DimensionError(f"principal block must be square and non-empty, got shape {b.shape}")
-    n = len(b)
+    return _extension(_checked(block, "principal block", (None, None)))
+
+
+def _extension(block: np.ndarray) -> np.ndarray:
+    """symmetric_extension of a checked complex block, into a fresh grid."""
+    n = len(block)
     grid = np.empty((2 * n, 2 * n), dtype=complex)
-    grid[:n, :n] = b
+    grid[:n, :n] = block
     for sign, ghost in _ghost_blocks(grid, n):
-        np.multiply(sign, b, out=ghost)
+        np.multiply(sign, block, out=ghost)
     return grid
 
 

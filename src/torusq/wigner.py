@@ -12,7 +12,9 @@ propagate it to the rest of the grid (the ghost copies).  An operator's
 principal block is its canonical class over 4N (see quantize), a state pair
 (psi, phi) being the rank-one operator phi psi^*; symmetric_extension, whose
 signs live in symbols beside the fold, fills the ghost copies, so S1 to S3
-hold bit for bit by construction.
+hold bit for bit by construction.  Each state and operator is checked once,
+by rep._checked; the core quantize._extended_class builds the grid, and the
+WignerTable constructor refuses it if a state pair's product overflowed.
 """
 from __future__ import annotations
 
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .quantize import canonical_class
-from .rep import Representation, heisenberg
-from .symbols import SampledSymbol, _frozen_grid, _ghost_blocks, _handed_over, symmetric_extension
+from .errors import DomainError
+from .quantize import _extended_class
+from .rep import Representation, _checked, heisenberg
+from .symbols import SampledSymbol, _frozen_grid, _ghost_blocks, symmetric_extension
 
 __all__ = [
     "KIND_STATE_PAIR",
@@ -58,25 +60,9 @@ class WignerTable:
         object.__setattr__(self, "grid", _frozen_grid(self.grid, self.rep, "Wigner table"))
 
 
-def _check_state(rep: Representation, psi: np.ndarray, name: str) -> np.ndarray:
-    vec = np.asarray(psi, dtype=complex)
-    if vec.shape != (rep.dim,):
-        raise DimensionError(f"{name} must be a length-{rep.dim} vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError(f"{name} entries must be finite")
-    return vec
-
-
-def _table(rep: Representation, operator, kind: str) -> WignerTable:
-    red = canonical_class(rep, operator)
-    np.multiply(red, 0.25 / rep.dim, out=red)  # the principal block, 1/4N of the class
-    return WignerTable(_handed_over(symmetric_extension(red)), rep, kind)
-
-
 def fourier_wigner(rep: Representation, psi, phi, n1: int, n2: int) -> complex:
     """Matrix coefficient <psi, T(n1, n2) phi>, antilinear in the first slot."""
-    psi = _check_state(rep, psi, "psi")
-    phi = _check_state(rep, phi, "phi")
+    psi, phi = _checked(psi, "psi", (rep.dim,)), _checked(phi, "phi", (rep.dim,))
     return complex(np.vdot(psi, heisenberg(rep, n1, n2) @ phi))
 
 
@@ -86,9 +72,8 @@ def wigner_state(rep: Representation, psi, phi) -> WignerTable:
     W(r, s) = (1/2N) sum_{l in Z_N} conj(psi[r - l]) phi[l] exp(-i pi (2l - r) s / N),
     state indices mod N: the table of the rank-one operator phi psi^*.
     """
-    psi = _check_state(rep, psi, "psi")
-    phi = _check_state(rep, phi, "phi")
-    return _table(rep, np.conj(psi) * phi[:, None], KIND_STATE_PAIR)
+    psi, phi = _checked(psi, "psi", (rep.dim,)), _checked(phi, "phi", (rep.dim,))
+    return WignerTable(_extended_class(np.conj(psi) * phi[:, None], 0.25 / rep.dim), rep, KIND_STATE_PAIR)
 
 
 def wigner_operator(rep: Representation, operator) -> WignerTable:
@@ -96,7 +81,8 @@ def wigner_operator(rep: Representation, operator) -> WignerTable:
 
     W(r, s) = (1/2N) sum_{l in Z_N} A[l, r - l] exp(-i pi (2l - r) s / N).
     """
-    return _table(rep, operator, KIND_OPERATOR)
+    a = _checked(operator, "operator", (rep.dim,) * 2)
+    return WignerTable(_extended_class(a, 0.25 / rep.dim), rep, KIND_OPERATOR)
 
 
 def marginal_x(table: WignerTable) -> np.ndarray:

@@ -18,6 +18,8 @@ SEED = 20260822
 def test_criterion(number, name, check):
     rng = np.random.default_rng((SEED, number))
     passed, detail = check(rng)
+    assert type(passed) is bool
+    assert isinstance(detail, str) and detail
     status = "PASS" if passed else "FAIL"
     print(f"[criterion {number:02d}] {status} {name}: {detail}")
     assert passed, f"criterion {number:02d} {name}: {detail}"

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -27,11 +28,19 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def run_cli(*args):
+    """python -m torusq.cli in a fresh process, for what only a process shows: --help's exit,
+    reproducibility across processes, and one end-to-end run per subcommand."""
     return subprocess.run(
         [sys.executable, "-m", "torusq.cli", *args],
         capture_output=True,
         text=True,
     )
+
+
+def run_main(capsys, *args):
+    """cli.main(args) in this process, with its exit code and captured output as run_cli gives them."""
+    code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, *capsys.readouterr())
 
 
 def test_quantize_trig_polynomial(tmp_path):
@@ -44,23 +53,23 @@ def test_quantize_trig_polynomial(tmp_path):
     assert np.max(np.abs(built - SZ)) < 1e-12
 
 
-def test_quantize_sampled_symbol(tmp_path):
+def test_quantize_sampled_symbol(tmp_path, capsys):
     rng = np.random.default_rng(61)
     rep = Representation(0.3, 0.7, 3)
     matrix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     src = tmp_path / "sym.json"
     src.write_text(serialize.sampled_to_json(dequantize(rep, matrix)))
-    proc = run_cli("quantize", str(src))
+    proc = run_main(capsys, "quantize", str(src))
     assert proc.returncode == 0
     assert np.max(np.abs(serialize.operator_from_json(proc.stdout) - matrix)) < 1e-10
 
 
-def test_quantize_both_routes(tmp_path):
+def test_quantize_both_routes(tmp_path, capsys):
     zsym = pauli_symbols(Representation(0.0, 0.0, 2))[3]
     src = tmp_path / "alpha_z.json"
     src.write_text(serialize.trig_to_json(zsym))
     out = tmp_path / "op.json"
-    proc = run_cli("quantize", str(src), "--N", "2", "--route", "both", "-o", str(out))
+    proc = run_main(capsys, "quantize", str(src), "--N", "2", "--route", "both", "-o", str(out))
     assert proc.returncode == 0
     assert "route discrepancy:" in proc.stderr
     direct = serialize.operator_from_json(out.read_text())
@@ -83,28 +92,28 @@ def test_quantize_both_routes_with_a_dot_in_the_directory(tmp_path, monkeypatch,
         assert np.max(np.abs(built - SZ)) < 1e-12
 
 
-def test_quantize_trig_needs_dimension(tmp_path):
+def test_quantize_trig_needs_dimension(tmp_path, capsys):
     src = tmp_path / "tp.json"
     src.write_text('[{"n1":0,"n2":0,"re":1.0,"im":0.0}]')
-    proc = run_cli("quantize", str(src))
+    proc = run_main(capsys, "quantize", str(src))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
 
 
-def test_quantize_flag_conflict(tmp_path):
+def test_quantize_flag_conflict(tmp_path, capsys):
     rep = Representation(0.25, 0.0, 2)
     src = tmp_path / "sym.json"
     src.write_text(serialize.sampled_to_json(dequantize(rep, np.eye(2))))
-    assert run_cli("quantize", str(src), "--N", "3").returncode == 3
-    assert run_cli("quantize", str(src), "--theta1", "0.5").returncode == 3
+    assert run_main(capsys, "quantize", str(src), "--N", "3").returncode == 3
+    assert run_main(capsys, "quantize", str(src), "--theta1", "0.5").returncode == 3
     # matching flags are accepted
-    proc = run_cli("quantize", str(src), "--N", "2", "--theta1", "0.25", "--theta2", "0")
+    proc = run_main(capsys, "quantize", str(src), "--N", "2", "--theta1", "0.25", "--theta2", "0")
     assert proc.returncode == 0
     # angles are compared on the circle, so both sides of theta2 = 0 match
-    assert run_cli("quantize", str(src), "--theta2=1e-14").returncode == 0
-    assert run_cli("quantize", str(src), "--theta2=-1e-14").returncode == 0
-    assert run_cli("quantize", str(src), "--theta2=0.99999999999999").returncode == 0
-    assert run_cli("quantize", str(src), "--theta2=-2e-12").returncode == 3
+    assert run_main(capsys, "quantize", str(src), "--theta2=1e-14").returncode == 0
+    assert run_main(capsys, "quantize", str(src), "--theta2=-1e-14").returncode == 0
+    assert run_main(capsys, "quantize", str(src), "--theta2=0.99999999999999").returncode == 0
+    assert run_main(capsys, "quantize", str(src), "--theta2=-2e-12").returncode == 3
 
 
 def test_entry_count_is_exit_3_before_a_bad_entry(tmp_path, capsys):
@@ -137,11 +146,11 @@ def test_dimension_past_the_bound_is_refused(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.count("exceeds the supported maximum 2") == 2
 
 
-def test_quantize_route_needs_trig_input(tmp_path):
+def test_quantize_route_needs_trig_input(tmp_path, capsys):
     rep = Representation(0.0, 0.0, 2)
     src = tmp_path / "sym.json"
     src.write_text(serialize.sampled_to_json(dequantize(rep, np.eye(2))))
-    assert run_cli("quantize", str(src), "--route", "fourier").returncode == 2
+    assert run_main(capsys, "quantize", str(src), "--route", "fourier").returncode == 2
 
 
 def test_dequantize_known_table(tmp_path):
@@ -156,25 +165,25 @@ def test_dequantize_known_table(tmp_path):
     assert np.max(np.abs(sym.grid - expected)) < 1e-14
 
 
-def test_dequantize_csv(tmp_path):
+def test_dequantize_csv(tmp_path, capsys):
     src = tmp_path / "sx.json"
     src.write_text(serialize.operator_to_json(SX))
-    proc = run_cli("dequantize", str(src), "--csv")
+    proc = run_main(capsys, "dequantize", str(src), "--csv")
     assert proc.returncode == 0
     lines = proc.stdout.strip().split("\n")
     assert lines[0] == "x,p,re,im"
     assert len(lines) == 1 + 16
 
 
-def test_quantize_dequantize_round_trip(tmp_path):
+def test_quantize_dequantize_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(62)
     matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     src = tmp_path / "op.json"
     src.write_text(serialize.operator_to_json(matrix))
     mid = tmp_path / "sym.json"
-    proc = run_cli("dequantize", str(src), "--theta1", "0.6", "--theta2", "0.2", "-o", str(mid))
+    proc = run_main(capsys, "dequantize", str(src), "--theta1", "0.6", "--theta2", "0.2", "-o", str(mid))
     assert proc.returncode == 0
-    proc = run_cli("quantize", str(mid))
+    proc = run_main(capsys, "quantize", str(mid))
     assert proc.returncode == 0
     assert np.max(np.abs(serialize.operator_from_json(proc.stdout) - matrix)) < 1e-10
 
@@ -195,7 +204,7 @@ def test_wigner_single_state(tmp_path):
     assert np.max(np.abs(table.grid - expected)) < 1e-14
 
 
-def test_wigner_state_pair(tmp_path):
+def test_wigner_state_pair(tmp_path, capsys):
     rng = np.random.default_rng(63)
     psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -203,19 +212,19 @@ def test_wigner_state_pair(tmp_path):
     b = tmp_path / "phi.json"
     a.write_text(serialize.state_to_json(psi))
     b.write_text(serialize.state_to_json(phi))
-    proc = run_cli("wigner", str(a), str(b), "--theta1", "0.4", "--theta2", "0.9")
+    proc = run_main(capsys, "wigner", str(a), str(b), "--theta1", "0.4", "--theta2", "0.9")
     assert proc.returncode == 0
     table = serialize.wigner_from_json(proc.stdout)
     oracle = wigner_state(Representation(0.4, 0.9, 3), psi, phi)
     assert np.array_equal(table.grid, oracle.grid)
 
 
-def test_wigner_length_mismatch(tmp_path):
+def test_wigner_length_mismatch(tmp_path, capsys):
     a = tmp_path / "psi.json"
     b = tmp_path / "phi.json"
     a.write_text(serialize.state_to_json([1.0, 0.0]))
     b.write_text(serialize.state_to_json([1.0, 0.0, 0.0]))
-    assert run_cli("wigner", str(a), str(b)).returncode == 3
+    assert run_main(capsys, "wigner", str(a), str(b)).returncode == 3
 
 
 def test_evolve_zero_time(tmp_path):
@@ -234,7 +243,7 @@ def test_evolve_zero_time(tmp_path):
     assert diag["defect"] < 1e-12
 
 
-def test_evolve_spin_flip(tmp_path):
+def test_evolve_spin_flip(tmp_path, capsys):
     # cos(2 pi x) generates precession; half a period negates sigma_x
     rep = Representation(0.0, 0.0, 2)
     ham = tmp_path / "h.json"
@@ -242,20 +251,20 @@ def test_evolve_spin_flip(tmp_path):
     start = tmp_path / "start.json"
     start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
     out = tmp_path / "out.json"
-    proc = run_cli("evolve", str(ham), str(start), "--t", "0.125", "--steps", "300", "-o", str(out))
+    proc = run_main(capsys, "evolve", str(ham), str(start), "--t", "0.125", "--steps", "300", "-o", str(out))
     assert proc.returncode == 0
     evolved = serialize.sampled_from_json(out.read_text())
     target = dequantize(rep, -SX).grid
     assert np.max(np.abs(evolved.grid - target)) < 1e-5
 
 
-def test_evolve_rejects_complex_hamiltonian(tmp_path):
+def test_evolve_rejects_complex_hamiltonian(tmp_path, capsys):
     rep = Representation(0.0, 0.0, 2)
     ham = tmp_path / "h.json"
     ham.write_text('[{"n1":1,"n2":0,"re":0.5,"im":0.0}]')
     start = tmp_path / "start.json"
     start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
-    assert run_cli("evolve", str(ham), str(start), "--t", "0.1").returncode == 4
+    assert run_main(capsys, "evolve", str(ham), str(start), "--t", "0.1").returncode == 4
 
 
 @pytest.mark.parametrize("label", [(0.5, 0.0, 2), (0.0, 0.25, 2), (0.0, 0.0, 3)])
@@ -269,13 +278,13 @@ def test_evolve_refuses_a_sampled_hamiltonian_from_another_representation(tmp_pa
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_evolve_step_count_validated(tmp_path):
+def test_evolve_step_count_validated(tmp_path, capsys):
     rep = Representation(0.0, 0.0, 2)
     ham = tmp_path / "h.json"
     ham.write_text('[{"n1":0,"n2":0,"re":1.0,"im":0.0}]')
     start = tmp_path / "start.json"
     start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
-    assert run_cli("evolve", str(ham), str(start), "--t", "1", "--steps", "0").returncode == 2
+    assert run_main(capsys, "evolve", str(ham), str(start), "--t", "1", "--steps", "0").returncode == 2
 
 
 def test_evolve_step_count_checked_before_reading(tmp_path, capsys):
@@ -405,25 +414,64 @@ def test_subcommands_share_the_output_and_angle_flags(capsys, command):
 OVERFLOW_TRIG = '[{"n1":0,"n2":0,"re":1e308,"im":0.0},{"n1":2,"n2":0,"re":1e308,"im":0.0}]'
 
 
-def test_non_finite_output_is_exit_4(tmp_path):
+def test_non_finite_output_is_exit_4(tmp_path, capsys):
     src = tmp_path / "big.json"
     src.write_text(OVERFLOW_TRIG)
-    proc = run_cli("quantize", str(src), "--N", "1")
+    proc = run_main(capsys, "quantize", str(src), "--N", "1")
     assert proc.returncode == 4
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
 
 
-def test_malformed_json_is_exit_2(tmp_path):
+def test_malformed_json_is_exit_2(tmp_path, capsys):
     src = tmp_path / "bad.json"
     src.write_text("{this is not json")
-    assert run_cli("quantize", str(src)).returncode == 2
-    assert run_cli("dequantize", str(src)).returncode == 2
-    assert run_cli("wigner", str(src)).returncode == 2
+    assert run_main(capsys, "quantize", str(src)).returncode == 2
+    assert run_main(capsys, "dequantize", str(src)).returncode == 2
+    assert run_main(capsys, "wigner", str(src)).returncode == 2
 
 
-def test_missing_file_is_exit_2(tmp_path):
-    assert run_cli("quantize", str(tmp_path / "nope.json")).returncode == 2
+def test_missing_file_is_exit_2(tmp_path, capsys):
+    assert run_main(capsys, "quantize", str(tmp_path / "nope.json")).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command, error, message",
+    [
+        ("quantize", MemoryError(), "quantize ran out of memory"),
+        ("dequantize", MemoryError("Unable to allocate 1.00 GiB"), "dequantize ran out of memory: Unable to allocate 1.00 GiB"),
+    ],
+)
+def test_memory_error_is_exit_4_naming_the_subcommand(tmp_path, capsys, monkeypatch, command, error, message):
+    def exhausted(text):
+        raise error
+
+    src = tmp_path / "doc.json"
+    src.write_text("[]")
+    monkeypatch.setattr(serialize, "loads", exhausted)
+    proc = run_main(capsys, command, str(src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"error: {message}\n")
+
+
+# The child caps only its own address space, 64 MiB past what it maps once numpy is
+# imported, so the 256 MiB grid of N = 2048 on the sampled route cannot be allocated.
+_CAPPED = """import resource, sys, numpy, torusq.cli
+mapped = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(torusq.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_a_process_out_of_memory_ends_in_exit_4(tmp_path):
+    src = tmp_path / "tp.json"
+    src.write_text('[{"n1":1,"n2":0,"re":0.5,"im":0.0}]')
+    argv = ["quantize", str(src), "--N", "2048", "--route", "sampled"]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: quantize ran out of memory: Unable to allocate")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_output_is_reproducible(tmp_path):

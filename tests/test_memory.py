@@ -1,19 +1,14 @@
 """Peak memory of the lattice kernels, in units of one 2N x 2N complex grid.
 
-The bound of wigner_state is its peak when every grid was copied on
-construction (2.3904 with numpy 2.4), rounded to 2.39.  sample was bounded
-the same way at 3.07; since its inverse FFT runs in place it peaks at
-1.3438, rounded up to 1.35.  dequantize (3.07 then) and check_symmetries
-(2.0 then) must stay at or below 2.2 and 1.0, since neither copies its grid
-nor builds a full extension any more.  delta, operator_from_reduced and
-quantize_sampled, which is the one after the other, peak at 1.1372, 0.6373
-and 1.1372 (numpy 2.4), rounded up to 1.14, 0.64 and 1.14.  Since the Moyal
-block maps run their FFTs in place, moyal_product and moyal_bracket peak at
-4.7665 (8.0052 before), rounded up to 4.77, and evolve_symbol at 6.5208
-(11.0861 before), rounded up to 6.53.  canonical_class, computed directly
-as the inverse of operator_from_reduced rather than as the fold of the
-dequantized 2N x 2N grid, peaks at 0.6369 (2.1389 before), rounded up to
-0.64; it builds no 2N x 2N grid.
+Each bound is the kernel's measured peak with numpy 2.4, rounded up: sample
+1.3438 to 1.35; delta, operator_from_reduced and quantize_sampled, which is
+the one after the other, 1.1372, 0.6373 and 1.1372 to 1.14, 0.64 and 1.14;
+canonical_class, the inverse of operator_from_reduced, 0.6369 to 0.64, since
+it builds no 2N x 2N grid; moyal_product and moyal_bracket, whose block
+maps run their FFTs in place, 4.7665 to 4.77; evolve_symbol 6.5208 to 6.53.
+wigner_state stays at or below 2.39, the peak of a table whose grid is
+copied on construction.  dequantize and check_symmetries stay at or below
+2.2 and 1.0, since neither copies its grid nor builds a full extension.
 """
 import tracemalloc
 

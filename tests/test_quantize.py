@@ -163,7 +163,7 @@ def test_reduced_constant_scalar_case():
 def test_reduced_requires_square_input():
     with pytest.raises(DimensionError):
         operator_from_reduced(np.zeros((2, 3)))
-    with pytest.raises(DimensionError, match="must be square and non-empty"):
+    with pytest.raises(DimensionError, match=r"must have shape \(n, n\) with n >= 1, got shape \(0, 0\)"):
         operator_from_reduced(np.zeros((0, 0)))
 
 

@@ -199,7 +199,7 @@ def test_sample_constant():
 
 def test_sampled_symbol_validation():
     rep = Representation(0.0, 0.0, 2)
-    with pytest.raises(DimensionError, match="sampled symbol grid must be 4 x 4"):
+    with pytest.raises(DimensionError, match=r"^sampled symbol must have shape \(4, 4\)"):
         SampledSymbol(np.zeros((3, 3)), rep)
     bad = np.zeros((4, 4))
     bad[1, 2] = np.nan
