@@ -3,6 +3,8 @@
 Subcommands cover the main workflows: quantize a symbol file, dequantize
 an operator file, build Wigner tables from state vectors, integrate
 Heisenberg dynamics on the symbol side, and run the acceptance battery.
+Every input file goes through one reader, _read, which refuses a document that
+is not a JSON array or object; quantize and evolve share one symbol reader on it.
 Exit codes: 0 success, 1 failed selftest, 2 unreadable or malformed
 input or command line, 3 inconsistent dimensions, 4 out-of-domain data or
 a MemoryError, reported with the subcommand's name.  main maps each refused
@@ -23,7 +25,7 @@ from .errors import DimensionError, DomainError, FormatError
 from .moyal import HamiltonianSystem, evolve_operator, evolve_symbol
 from .quantize import quantize_fourier, quantize_sampled
 from .rep import Representation
-from .symbols import sample
+from .symbols import SampledSymbol, TrigPolynomial, sample
 from .wigner import check_symmetries, marginal_p, marginal_x, wigner_state
 
 # Exit code of each refusal; an OSError subclass (a missing file, a directory) takes OSError's.
@@ -33,9 +35,19 @@ EXIT_CODES = {FormatError: 2, OSError: 2, DimensionError: 3, DomainError: 4, Mem
 MAX_DIM = 2048
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> list | dict:
+    """The JSON array or object in the file at path, the one reader of every input."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        doc = serialize.loads(handle.read())
+    if not isinstance(doc, (list, dict)):
+        raise FormatError(f"{path} must hold a JSON array or object, got {doc!r:.40}")
+    return doc
+
+
+def _read_symbol(path: str) -> TrigPolynomial | SampledSymbol:
+    """The trig polynomial (array) or sampled symbol (object) in the file; no parse tree outlives it."""
+    doc = _read(path)
+    return serialize.trig_from_json(doc) if isinstance(doc, list) else serialize.sampled_from_json(doc)
 
 
 def _deliver(text: str, path) -> None:
@@ -78,57 +90,42 @@ def _sibling(path: str) -> str:
 
 
 def _cmd_quantize(args) -> int:
-    doc = serialize.loads(_read(args.symbol))
-    if isinstance(doc, list):
-        tp = serialize.trig_from_json(doc)
+    symbol = _read_symbol(args.symbol)
+    if isinstance(symbol, SampledSymbol):
+        if args.route in ("fourier", "both"):
+            raise FormatError(f"route {args.route!r} needs a trig polynomial document (a JSON array)")
+        _check_flag_consistency(args, symbol.rep)
+        operator = quantize_sampled(symbol)
+    else:
         if args.N is None:
             raise FormatError("trig polynomial input needs --N to fix the dimension")
         rep = _rep_from_flags(args, args.N)
-        if args.route == "sampled":
-            operator = quantize_sampled(sample(tp, rep))
-        elif args.route == "both":
+        if args.route == "both":
             if args.output is None:
                 raise FormatError("route 'both' needs -o to place the two results")
-            direct = quantize_fourier(tp, rep)
-            via_grid = quantize_sampled(sample(tp, rep))
+            direct = quantize_fourier(symbol, rep)
+            via_grid = quantize_sampled(sample(symbol, rep))
             gap = float(np.max(np.abs(direct - via_grid)))
             _deliver(serialize.operator_to_json(direct), args.output)
             _deliver(serialize.operator_to_json(via_grid), _sibling(args.output))
             print(f"route discrepancy: {gap:.3e}", file=sys.stderr)
             return 0
-        else:
-            operator = quantize_fourier(tp, rep)
-    elif isinstance(doc, dict):
-        if args.route in ("fourier", "both"):
-            raise FormatError(
-                f"route {args.route!r} needs a trig polynomial document (a JSON array)"
-            )
-        sym = serialize.sampled_from_json(doc)
-        _check_flag_consistency(args, sym.rep)
-        operator = quantize_sampled(sym)
-    else:
-        raise FormatError("symbol document must be a JSON array or object")
+        operator = quantize_sampled(sample(symbol, rep)) if args.route == "sampled" else quantize_fourier(symbol, rep)
     _deliver(serialize.operator_to_json(operator), args.output)
     return 0
 
 
 def _cmd_dequantize(args) -> int:
-    operator = serialize.operator_from_json(serialize.loads(_read(args.operator)))
+    operator = serialize.operator_from_json(_read(args.operator))
     rep = _rep_from_flags(args, operator.shape[0])
     sym = dequantize(rep, operator)
-    if args.csv:
-        _deliver(serialize.lattice_csv(sym.grid, rep), args.output)
-    else:
-        _deliver(serialize.sampled_to_json(sym), args.output)
+    _deliver(serialize.lattice_csv(sym.grid, rep) if args.csv else serialize.sampled_to_json(sym), args.output)
     return 0
 
 
 def _cmd_wigner(args) -> int:
-    psi = serialize.state_from_json(serialize.loads(_read(args.state)))
-    if args.state2 is None:
-        phi = psi
-    else:
-        phi = serialize.state_from_json(serialize.loads(_read(args.state2)))
+    psi = serialize.state_from_json(_read(args.state))
+    phi = psi if args.state2 is None else serialize.state_from_json(_read(args.state2))
     if phi.size != psi.size:
         raise DimensionError(f"state lengths differ: {psi.size} vs {phi.size}")
     rep = _rep_from_flags(args, psi.size)
@@ -150,13 +147,11 @@ def _cmd_wigner(args) -> int:
 def _cmd_evolve(args) -> int:
     if args.steps < 1:
         raise FormatError("--steps must be at least 1")
-    start = serialize.sampled_from_json(serialize.loads(_read(args.symbol)))
+    start = serialize.sampled_from_json(_read(args.symbol))
     _check_flag_consistency(args, start.rep)
-    doc = serialize.loads(_read(args.hamiltonian))
-    if isinstance(doc, list):
-        energy = sample(serialize.trig_from_json(doc), start.rep)
-    else:
-        energy = serialize.sampled_from_json(doc)
+    energy = _read_symbol(args.hamiltonian)
+    if isinstance(energy, TrigPolynomial):
+        energy = sample(energy, start.rep)
     system = HamiltonianSystem(energy)
     evolved = evolve_symbol(system, start, args.t, args.steps)
     exact = evolve_operator(system, quantize_sampled(start), args.t)

@@ -66,9 +66,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quantize import quantize_sampled
+from .quantize import _from_reduced
 from .rep import Representation, _checked, _finite_real, _is_integer
-from .symbols import SampledSymbol, TrigPolynomial, _handed_over, _same_rep, sample
+from .symbols import SampledSymbol, TrigPolynomial, _handed_over, _same_rep, delta, sample
 
 __all__ = [
     "HamiltonianSystem",
@@ -193,8 +193,8 @@ class HamiltonianSystem:
         return self.hamiltonian.rep
 
     def operator(self) -> np.ndarray:
-        """Quantized Hamiltonian (Hermitian)."""
-        return quantize_sampled(self.hamiltonian)
+        """Quantized Hamiltonian (Hermitian); DomainError when it overflows."""
+        return _checked(_from_reduced(delta(self.hamiltonian)), "quantized Hamiltonian", (self.rep.dim,) * 2)
 
 
 def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray:
@@ -202,6 +202,7 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
 
     Uses the eigendecomposition of the quantized Hamiltonian, so the result
     is exact up to diagonalization error at any t whose phases stay finite.
+    A quantized Hamiltonian or a result that overflows raises DomainError.
     """
     _finite_real(t, "t")
     n = system.rep.dim
@@ -211,7 +212,7 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
     if not np.all(np.isfinite(phases)):
         raise DomainError(f"t = {t!r} overflows the phases 2 pi N t E")
     propagator = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    return propagator @ a @ propagator.conj().T
+    return _checked(propagator @ a @ propagator.conj().T, "evolved operator", (n, n))
 
 
 def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, steps: int) -> SampledSymbol:
@@ -224,8 +225,9 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     the start gains the factor R(z_ij)^steps.  Fourier modes of H below
     1e-13 of the largest, and those with both indices in {0, N}, which
     commute with every symbol, are dropped first; a Hamiltonian with no other
-    mode returns the start grid bit for bit.  A step past RK4's stability limit,
-    2 pi N |t/steps| (E_max - E_min) > 2 sqrt(2) in some block, raises DomainError.
+    mode returns the start grid bit for bit.  A Hamiltonian whose spectrum overflows,
+    or a step past RK4's stability limit, 2 pi N |t/steps| (E_max - E_min) > 2 sqrt(2)
+    in some block, raises DomainError.
     """
     rep = _same_rep(system, start)
     if not _is_integer(steps) or steps < 1:
@@ -238,7 +240,10 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     n = rep.dim
     spectrum = np.fft.fft2(system.hamiltonian.grid)
     magnitude = np.abs(spectrum)
-    moving = magnitude > 1e-13 * np.max(magnitude)
+    peak = float(np.max(magnitude))
+    if not math.isfinite(peak):
+        raise DomainError("Hamiltonian spectrum entries must be finite")
+    moving = magnitude > 1e-13 * peak
     moving[::n, ::n] = False  # modes in {0, N}^2 commute with every symbol
     if not moving.any():
         return start

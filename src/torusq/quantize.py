@@ -13,7 +13,10 @@ and the operator entry in row m, column l is P[(m + l) % N, m], in O(N^2 log N).
 canonical_class runs the same steps backwards; every Wigner table and
 dequantize extend its reduced symbol to the 2N x 2N lattice.  Both public
 maps check their array with rep._checked, then call an unchecked core, which
-quantize_sampled, dequantize and the Wigner tables call directly.
+quantize_sampled, dequantize and the Wigner tables call directly.  The kernels
+that return a bare array check their result the same way, but for
+operator_from_reduced: each entry is a sum of N terms of modulus |red| / 2N,
+at most half the largest modulus of a finite input, so it cannot overflow.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ __all__ = [
 
 def quantize_fourier(tp: TrigPolynomial, rep: Representation) -> np.ndarray:
     """Operator sum_n c[n] T(n1, n2) from the Fourier coefficients of tp, in O(T N + N^2) without a grid."""
-    return _group_sum(rep, tp.items())
+    return _checked(_group_sum(rep, tp.items()), "quantized operator", (rep.dim,) * 2)
 
 
 def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
@@ -47,7 +50,7 @@ def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
     with both grid indices taken mod 2N.  It depends on the grid only through
     its fold, and is computed as operator_from_reduced(delta(sym)).
     """
-    return _from_reduced(delta(sym))
+    return _checked(_from_reduced(delta(sym)), "quantized operator", (sym.rep.dim,) * 2)
 
 
 def adjoint_symbol(sym: SampledSymbol) -> SampledSymbol:
@@ -84,7 +87,8 @@ def canonical_class(rep: Representation, operator) -> np.ndarray:
     """Distinguished reduced symbol of an operator, the exact inverse of operator_from_reduced:
     red[r, s] = 2 exp(i pi r s / N) sum_l A[l, (r - l) % N] exp(-2 i pi l s / N), which is
     4N times the principal block of the operator's Wigner table and N times its fold."""
-    return _class(_checked(operator, "operator", (rep.dim,) * 2))
+    red = _class(_checked(operator, "operator", (rep.dim,) * 2))
+    return _checked(red, "canonical class", red.shape)
 
 
 def _class(a: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@ Numbers are emitted with 17 significant digits, which round-trips every
 double exactly but the sign of a zero (-0.0 is written -0, which JSON reads
 as the integer 0, so it comes back as +0.0), and field order is fixed, so
 identical inputs always produce byte-identical output.  A numpy array is
-written as the flat list of [re, im] pairs of its entries in row-major
-order.  Loaders validate the schema and raise FormatError for malformed
-documents, DimensionError for internally inconsistent sizes; trig_from_json
-raises DomainError for a frequency of magnitude 2**53 or more, and dumps
-for a non-finite number.  operator_to_json, state_to_json and lattice_csv
-refuse an empty or misshapen array and a non-finite entry, as the loaders do.
+written from its own float view as the flat list of [re, im] pairs of its
+entries in row-major order; a loader fills a fresh complex array from that
+flat list in one pass, and SampledSymbol and WignerTable adopt a loaded grid
+without a copy.  Loaders validate the schema and raise FormatError for
+malformed documents, DimensionError for internally inconsistent sizes;
+trig_from_json raises DomainError for a frequency of magnitude 2**53 or
+more, and dumps for a non-finite number.  operator_to_json, state_to_json
+and lattice_csv refuse an empty or misshapen array and a non-finite entry.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError
 from .rep import Representation, _checked
-from .symbols import SampledSymbol, TrigPolynomial
+from .symbols import SampledSymbol, TrigPolynomial, _handed_over
 from .wigner import KIND_OPERATOR, KIND_STATE_PAIR, WignerTable
 
 __all__ = [
@@ -68,8 +70,7 @@ def dumps(obj) -> str:
             raise DomainError(_NON_FINITE)
         return "%.17g" % obj
     if isinstance(obj, np.ndarray):
-        flat = np.asarray(obj, dtype=complex).ravel()
-        pairs = np.column_stack((flat.real, flat.imag))
+        pairs = np.asarray(obj, dtype=complex).reshape(-1, 1).view(float)
         return "[" + _format_rows("[%.17g,%.17g]", pairs, ",") + "]"
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(key)) + ":" + dumps(value) for key, value in obj.items()) + "}"
@@ -125,27 +126,38 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
-def _complex_list(values, where: str, count: int | None = None, owner: str = "") -> np.ndarray:
+def _dimension(obj, what: str) -> int:
+    dim = _integer(_field(obj, "N", what), "N")
+    if dim < 1:
+        raise FormatError(f"N must be positive, got {dim}")
+    return dim
+
+
+def _complex_list(values, where: str, shape: tuple, owner: str) -> np.ndarray:
+    """A list of [re, im] pairs as a fresh complex array of the given shape, which owns its data."""
     if not isinstance(values, list):
         raise FormatError(f"{where} must be an array of [re, im] pairs")
-    # The length is checked before any entry is converted.
-    if count is not None and len(values) != count:
-        raise DimensionError(f"{owner} has {len(values)} entries, expected {count}")
-    # One conversion when every entry is a list of two JSON numbers; anything
-    # else, numeric strings and bools included (numpy would take them), goes
-    # to the loop, which names the first bad entry.  Values at the float
-    # maximum go there too: an integer just past it rounds down to it.
+    # The length is checked before any entry is converted or the array allocated.
+    if len(values) != math.prod(shape):
+        raise DimensionError(f"{owner} has {len(values)} entries, expected {math.prod(shape)}")
+    out = np.empty(shape, dtype=complex)
+    # One pass fills it when every entry is a list of two JSON numbers; anything else,
+    # numeric strings and bools included (numpy would take them), goes to the loop,
+    # which names the first bad entry.  So do values at the float maximum: an
+    # integer just past it rounds down to it.
     if set(map(type, values)) <= {list} and set(map(len, values)) <= {2}:
         flat = list(itertools.chain.from_iterable(values))
         if set(map(type, flat)) <= {int, float}:
+            parts = out.reshape(-1).view(float)
             try:
-                pairs = np.array(flat, dtype=float)
+                parts[:] = flat
             except OverflowError:  # an integer past the float range
                 pass
             else:
-                if np.all(np.abs(pairs) < sys.float_info.max):
-                    return pairs.view(complex)
-    return np.array([_pair(v, where) for v in values], dtype=complex)
+                if -sys.float_info.max < parts.min() and parts.max() < sys.float_info.max:
+                    return out
+    out.reshape(-1)[:] = [_pair(v, where) for v in values]
+    return out
 
 
 def trig_to_json(tp: TrigPolynomial) -> str:
@@ -163,10 +175,8 @@ def trig_from_json(source) -> TrigPolynomial:
         raise FormatError("trig polynomial document must be a JSON array")
     coeffs: dict = {}
     for row in obj:
-        n1 = _integer(_field(row, "n1", "trig polynomial row"), "n1")
-        n2 = _integer(_field(row, "n2", "trig polynomial row"), "n2")
-        re = _number(_field(row, "re", "trig polynomial row"), "re")
-        im = _number(_field(row, "im", "trig polynomial row"), "im")
+        n1, n2 = (_integer(_field(row, key, "trig polynomial row"), key) for key in ("n1", "n2"))
+        re, im = (_number(_field(row, key, "trig polynomial row"), key) for key in ("re", "im"))
         # Past 2**53 a frequency is no longer an exact float, so its phases are noise.
         if max(abs(n1), abs(n2)) >= 2**53:
             raise DomainError(f"frequency ({n1}, {n2}) is not below 2**53 in magnitude")
@@ -188,18 +198,15 @@ def _lattice_from_json(source, what: str, with_kind: bool = False) -> tuple:
     obj = _as_obj(source)
     theta1 = _number(_field(obj, "theta1", what), "theta1")
     theta2 = _number(_field(obj, "theta2", what), "theta2")
-    dim = _integer(_field(obj, "N", what), "N")
-    if dim < 1:
-        raise FormatError(f"N must be positive, got {dim}")
+    dim = _dimension(obj, what)
     tail = ()
     if with_kind:
         kind = _field(obj, "kind", what)
         if kind not in (KIND_STATE_PAIR, KIND_OPERATOR):
             raise FormatError(f"unknown {what} kind {kind!r}")
         tail = (kind,)
-    side = 2 * dim
-    values = _complex_list(_field(obj, "grid", what), "grid entry", side * side, f"{what} grid")
-    return (values.reshape(side, side), Representation(theta1, theta2, dim), *tail)
+    grid = _complex_list(_field(obj, "grid", what), "grid entry", (2 * dim, 2 * dim), f"{what} grid")
+    return (_handed_over(grid), Representation(theta1, theta2, dim), *tail)
 
 
 def sampled_to_json(sym: SampledSymbol, extra: dict | None = None) -> str:
@@ -217,11 +224,8 @@ def operator_to_json(operator) -> str:
 
 def operator_from_json(source) -> np.ndarray:
     obj = _as_obj(source)
-    dim = _integer(_field(obj, "N", "operator"), "N")
-    if dim < 1:
-        raise FormatError(f"N must be positive, got {dim}")
-    values = _complex_list(_field(obj, "entries", "operator"), "operator entry", dim * dim, "operator")
-    return values.reshape(dim, dim)
+    dim = _dimension(obj, "operator")
+    return _complex_list(_field(obj, "entries", "operator"), "operator entry", (dim, dim), "operator")
 
 
 def wigner_to_json(table: WignerTable, extra: dict | None = None) -> str:
@@ -240,7 +244,7 @@ def state_from_json(source) -> np.ndarray:
     obj = _as_obj(source)
     if not isinstance(obj, list) or not obj:
         raise FormatError("state document must be a non-empty JSON array")
-    return _complex_list(obj, "state entry")
+    return _complex_list(obj, "state entry", (len(obj),), "state")
 
 
 def lattice_csv(grid, rep: Representation) -> str:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,50 @@ def test_evolve_refuses_a_sampled_hamiltonian_from_another_representation(tmp_pa
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_evolve_refuses_an_overflowing_hamiltonian(tmp_path, capsys):
+    rep = Representation(0.0, 0.0, 3)
+    ham = tmp_path / "h.json"
+    ham.write_text(serialize.sampled_to_json(SampledSymbol(1e308 * np.cos(np.arange(6))[:, None] * np.ones(6), rep)))
+    start = tmp_path / "start.json"
+    start.write_text(serialize.sampled_to_json(SampledSymbol(np.ones((6, 6)), rep)))
+    proc = run_main(capsys, "evolve", str(ham), str(start), "--t", "0.1", "--steps", "10")
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: Hamiltonian spectrum entries must be finite\n"
+
+
+class _TrackedList(list):
+    """A JSON array that a weak reference can follow."""
+
+
+class _TrackedDict(dict):
+    """A JSON object that a weak reference can follow."""
+
+
+@pytest.mark.parametrize("kind", ["trig", "sampled"])
+def test_evolve_holds_no_parse_tree_while_it_integrates(tmp_path, capsys, monkeypatch, kind):
+    rep = Representation(0.0, 0.0, 2)
+    energy = TrigPolynomial({(1, 0): 0.5, (-1, 0): 0.5})
+    ham = tmp_path / "h.json"
+    ham.write_text(serialize.trig_to_json(energy) if kind == "trig" else serialize.sampled_to_json(sample(energy, rep)))
+    start = tmp_path / "start.json"
+    start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
+    trees, loads, evolve = [], serialize.loads, cli.evolve_symbol
+
+    def tracked_loads(text):
+        doc = loads(text)
+        tree = (_TrackedList if isinstance(doc, list) else _TrackedDict)(doc)
+        trees.append(weakref.ref(tree))
+        return tree
+
+    def evolve_without_trees(*args):
+        assert len(trees) == 2 and all(ref() is None for ref in trees)
+        return evolve(*args)
+
+    monkeypatch.setattr(serialize, "loads", tracked_loads)
+    monkeypatch.setattr(cli, "evolve_symbol", evolve_without_trees)
+    assert run_main(capsys, "evolve", str(ham), str(start), "--t", "0.1", "--steps", "2").returncode == 0
+
+
 def test_evolve_step_count_validated(tmp_path, capsys):
     rep = Representation(0.0, 0.0, 2)
     ham = tmp_path / "h.json"
@@ -429,6 +474,25 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert run_main(capsys, "quantize", str(src)).returncode == 2
     assert run_main(capsys, "dequantize", str(src)).returncode == 2
     assert run_main(capsys, "wigner", str(src)).returncode == 2
+
+
+@pytest.mark.parametrize("value", ["string", 3, 1.5, True, None], ids=["string", "int", "float", "bool", "null"])
+def test_a_document_that_is_not_an_array_or_object_is_exit_2(tmp_path, capsys, value):
+    sym = serialize.sampled_to_json(dequantize(Representation(0.0, 0.0, 2), SX))
+    good = {
+        "quantize": sym,
+        "dequantize": serialize.operator_to_json(SX),
+        "wigner": serialize.state_to_json([1.0, 0.0]),
+        "evolve": sym,
+    }
+    for command, text in good.items():
+        # A string is refused even when it holds a good document for the command.
+        src = tmp_path / f"{command}.json"
+        src.write_text(json.dumps(text if value == "string" else value))
+        argv = [command, str(src)] + ([str(src), "--t", "0"] if command == "evolve" else [])
+        proc = run_main(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {src} must hold a JSON array or object, got ")
 
 
 def test_missing_file_is_exit_2(tmp_path, capsys):

@@ -18,9 +18,12 @@ from torusq import (
     canonical_class,
     dequantize,
     evolve_operator,
+    evolve_symbol,
     fourier_wigner,
     operator_from_reduced,
     pairing,
+    quantize_fourier,
+    quantize_sampled,
     sample,
     symmetric_extension,
     wigner_operator,
@@ -105,3 +108,43 @@ def test_a_state_pair_whose_product_overflows_is_a_table_fault():
     # The product overflows inside the kernel, so numpy's warnings are silenced as the CLI does.
     with np.errstate(all="ignore"), pytest.raises(DomainError, match="^Wigner table entries must be finite$"):
         wigner_state(REP, psi, psi)
+
+
+# A finite Hamiltonian whose spectrum and quantization overflow: row r is 1e308 cos(r).
+BIG_HAMILTONIAN = HamiltonianSystem(SampledSymbol(1e308 * np.cos(np.arange(2 * N))[:, None] * GRID, REP))
+# At N = 2 the flow of sigma_y is the rotation exp(4 i pi t sigma_y).
+MIXING = HamiltonianSystem(dequantize(Representation(0, 0, 2), np.array([[0, -1j], [1j, 0]])))
+
+# kernel -> (a call on finite inputs whose result overflows, the name of what overflowed)
+OVERFLOWS = {
+    "quantize_sampled": (lambda: quantize_sampled(SampledSymbol(1e308 * GRID, REP)), "quantized operator"),
+    # T(2N, 0) is T(0, 0) at theta = 0, so the two coefficients add.
+    "quantize_fourier": (
+        lambda: quantize_fourier(TrigPolynomial({(0, 0): 1e308, (2 * N, 0): 1e308}), Representation(0, 0, N)),
+        "quantized operator",
+    ),
+    "canonical_class": (lambda: canonical_class(REP, np.full((N, N), 1e308)), "canonical class"),
+    # This flow turns the all-ones direction onto the first basis vector, doubling the norm there.
+    "evolve_operator": (lambda: evolve_operator(MIXING, np.full((2, 2), 1e308), 1 / 16), "evolved operator"),
+    "evolve_operator-hamiltonian": (lambda: evolve_operator(BIG_HAMILTONIAN, OP, 0.1), "quantized Hamiltonian"),
+    "evolve_symbol-hamiltonian": (lambda: evolve_symbol(BIG_HAMILTONIAN, SYM, 0.1, 10), "Hamiltonian spectrum"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(OVERFLOWS))
+def test_a_result_that_overflows_is_refused_by_what_overflowed(kernel):
+    call, name = OVERFLOWS[kernel]
+    # The overflow happens inside the kernel, so numpy's warnings are silenced as the CLI does.
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
+        call()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 257])
+def test_operator_from_reduced_of_finite_entries_is_finite(dim):
+    # Entry (m, l) is a sum of N terms of modulus |red| / 2N, so its real and imaginary parts stay
+    # below half the largest modulus, under the float maximum; at N = 257 numpy's FFT takes
+    # Bluestein's route.  So a finite reduced symbol needs no check on its result.
+    k = np.arange(dim)
+    coherent = np.exp(1j * np.pi * k[:, None] * k / dim) * np.finfo(float).max
+    for red in (coherent, np.full((dim, dim), complex(np.finfo(float).max, np.finfo(float).max))):
+        assert np.isfinite(operator_from_reduced(red)).all()
