@@ -37,7 +37,7 @@ MAX_DIM = 2048
 
 def _read(path: str) -> list | dict:
     """The JSON array or object in the file at path, the one reader of every input."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         doc = serialize.loads(handle.read())
     if not isinstance(doc, (list, dict)):
         raise FormatError(f"{path} must hold a JSON array or object, got {doc!r:.40}")

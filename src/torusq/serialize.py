@@ -83,18 +83,19 @@ def _reject_constant(name):
     raise FormatError(f"non-finite JSON constant {name!r} is not allowed")
 
 
-def loads(text: str):
-    """Parse JSON text, rejecting NaN and Infinity."""
+def loads(data: str | bytes):
+    """Parse JSON text, or bytes as strict UTF-8, rejecting NaN and Infinity.  Every failure raises
+    FormatError, bytes that are not UTF-8 and nesting past Python's recursion limit included."""
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(data.decode() if isinstance(data, bytes) else data, parse_constant=_reject_constant)
     except FormatError:
         raise
-    except ValueError as exc:  # malformed text, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
 def _as_obj(source):
-    return loads(source) if isinstance(source, str) else source
+    return loads(source) if isinstance(source, (str, bytes)) else source
 
 
 def _number(value, where: str) -> float:
@@ -141,13 +142,11 @@ def _complex_list(values, where: str, shape: tuple, owner: str) -> np.ndarray:
     if len(values) != math.prod(shape):
         raise DimensionError(f"{owner} has {len(values)} entries, expected {math.prod(shape)}")
     out = np.empty(shape, dtype=complex)
-    # One pass fills it when every entry is a list of two JSON numbers; anything else,
-    # numeric strings and bools included (numpy would take them), goes to the loop,
-    # which names the first bad entry.  So do values at the float maximum: an
-    # integer just past it rounds down to it.
-    if set(map(type, values)) <= {list} and set(map(len, values)) <= {2}:
+    # One pass fills it, the only conversion, when every entry is a list of two numbers, the
+    # types _pair takes; numeric strings and bools (numpy would take them) are left unconverted.
+    if all(issubclass(t, list) for t in set(map(type, values))) and set(map(len, values)) <= {2}:
         flat = list(itertools.chain.from_iterable(values))
-        if set(map(type, flat)) <= {int, float}:
+        if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, flat))):
             parts = out.reshape(-1).view(float)
             try:
                 parts[:] = flat
@@ -156,7 +155,10 @@ def _complex_list(values, where: str, shape: tuple, owner: str) -> np.ndarray:
             else:
                 if -sys.float_info.max < parts.min() and parts.max() < sys.float_info.max:
                     return out
-    out.reshape(-1)[:] = [_pair(v, where) for v in values]
+    # The walk names the first bad entry.  When none is bad, the fill read a value at the float
+    # maximum (an integer just past it rounds down to it), and out already holds every entry.
+    for value in values:
+        _pair(value, where)
     return out
 
 
