@@ -3,7 +3,8 @@
 Subcommands cover the main workflows: quantize a symbol file, dequantize
 an operator file, build Wigner tables from state vectors, integrate
 Heisenberg dynamics on the symbol side, and run the acceptance battery.
-Every input file goes through one reader, _read, which refuses a document that
+Every input file goes through one reader, _read, which hands the file's bytes to
+serialize.loads, names the file when they do not parse, and refuses a document that
 is not a JSON array or object; quantize and evolve share one symbol reader on it.
 Exit codes: 0 success, 1 failed selftest, 2 unreadable or malformed
 input or command line, 3 inconsistent dimensions, 4 out-of-domain data or
@@ -38,9 +39,12 @@ MAX_DIM = 2048
 def _read(path: str) -> list | dict:
     """The JSON array or object in the file at path, the one reader of every input."""
     with open(path, "rb") as handle:
-        doc = serialize.loads(handle.read())
+        try:
+            doc = serialize.loads(handle.read())
+        except FormatError as exc:  # serialize.loads maps every parse failure to FormatError
+            raise FormatError(f"{path}: {exc}") from None
     if not isinstance(doc, (list, dict)):
-        raise FormatError(f"{path} must hold a JSON array or object, got {doc!r:.40}")
+        raise FormatError(f"{path} must hold a JSON array or object, got {serialize._shown(doc)}")
     return doc
 
 

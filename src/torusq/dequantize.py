@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dequantize(rep: Representation, operator) -> SampledSymbol:
     """Canonical symbol of an operator: N times its Wigner table."""
     return SampledSymbol(_extended_class(_checked(operator, "operator", (rep.dim,) * 2), 0.25), rep)

@@ -113,6 +113,7 @@ def _from_blocks(blocks: np.ndarray) -> np.ndarray:
     return np.multiply(n, grid, out=grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Noncommutative product a # b; quantizes to the operator product."""
     rep = _same_rep(a, b)
@@ -120,6 +121,7 @@ def moyal_product(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     return SampledSymbol(_handed_over(_from_blocks(left @ right)), rep)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moyal_bracket(a: SampledSymbol, b: SampledSymbol) -> SampledSymbol:
     """Moyal bracket {a, b} = a # b - b # a, the four-fold sum with the sine
     kernel (2i/(2N)^2) sum a b sin(pi (r v - u s)/N); quantizes to the
@@ -178,11 +180,13 @@ class HamiltonianSystem:
     def rep(self) -> Representation:
         return self.hamiltonian.rep
 
+    @np.errstate(over="ignore", invalid="ignore")
     def operator(self) -> np.ndarray:
         """Quantized Hamiltonian (Hermitian); DomainError when it overflows."""
         return _checked(_from_reduced(delta(self.hamiltonian)), "quantized Hamiltonian", (self.rep.dim,) * 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray:
     """Heisenberg evolution A(t) = exp(+2 i pi N t H) A exp(-2 i pi N t H).
 
@@ -201,6 +205,7 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
     return _checked(propagator @ a @ propagator.conj().T, "evolved operator", (n, n))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, steps: int) -> SampledSymbol:
     """Apply steps fixed RK4 steps of size t/steps to d a / dt = 2 i pi N {H, a}.
 

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quantize_fourier(tp: TrigPolynomial, rep: Representation) -> np.ndarray:
     """Operator sum_n c[n] T(n1, n2) from the Fourier coefficients of tp, in O(T N + N^2) without a grid."""
     return _checked(_group_sum(rep, tp.items()), "quantized operator", (rep.dim,) * 2)

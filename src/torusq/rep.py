@@ -10,6 +10,7 @@ a public kernel checks, then calls a core that internal chains call directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -29,6 +30,11 @@ __all__ = [
 def _is_integer(value) -> bool:
     """Whether value is a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _past_float_range(value) -> bool:
+    """Whether value is a Python integer past the float range, as unusable as an infinity."""
+    return isinstance(value, int) and abs(value) > sys.float_info.max
 
 
 def _finite_real(value, name: str) -> float:

@@ -7,23 +7,27 @@ identical inputs always produce byte-identical output.  A numpy array is
 written from its own float view as the flat list of [re, im] pairs of its
 entries in row-major order; a loader fills a fresh complex array from that
 flat list in one pass, and SampledSymbol and WignerTable adopt a loaded grid
-without a copy.  Loaders validate the schema and raise FormatError for
-malformed documents, DimensionError for internally inconsistent sizes;
-trig_from_json raises DomainError for a frequency of magnitude 2**53 or
-more, and dumps for a non-finite number.  operator_to_json, state_to_json
-and lattice_csv refuse an empty or misshapen array and a non-finite entry.
+without a copy.  loads parses text, or bytes as strict UTF-8, and raises
+FormatError for whatever it cannot parse, nesting past Python's recursion
+limit included.  Loaders validate the schema and raise FormatError for
+malformed documents, DimensionError for internally inconsistent sizes, and
+quote a document value cut short by reprlib; trig_from_json raises
+DomainError for a frequency of magnitude 2**53 or more, and dumps for a
+non-finite number.  operator_to_json, state_to_json and lattice_csv refuse
+an empty or misshapen array and a non-finite entry.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import reprlib
 import sys
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError
-from .rep import Representation, _checked
+from .rep import Representation, _checked, _past_float_range
 from .symbols import SampledSymbol, TrigPolynomial, _handed_over
 from .wigner import KIND_OPERATOR, KIND_STATE_PAIR, WignerTable
 
@@ -98,24 +102,31 @@ def _as_obj(source):
     return loads(source) if isinstance(source, (str, bytes)) else source
 
 
+def _shown(value) -> str:
+    """A value as a message shows it: reprlib's repr, bounded in length and nesting depth, or for
+    an integer too long for str (a count computed from a document's N), its bit length."""
+    if isinstance(value, int) and value.bit_length() > 14000:
+        return f"an integer of {value.bit_length()} bits"
+    return reprlib.repr(value)
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{where} must be a number, got {value!r}")
-    # An integer past the float range is as unusable as an infinity.
-    if (isinstance(value, int) and abs(value) > sys.float_info.max) or not math.isfinite(value):
-        raise FormatError(f"{where} must be finite, got {value!r}")
+        raise FormatError(f"{where} must be a number, got {_shown(value)}")
+    if _past_float_range(value) or not math.isfinite(value):
+        raise FormatError(f"{where} must be finite, got {_shown(value)}")
     return float(value)
 
 
 def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{where} must be an integer, got {value!r}")
+        raise FormatError(f"{where} must be an integer, got {_shown(value)}")
     return value
 
 
 def _pair(value, where: str) -> complex:
     if not isinstance(value, list) or len(value) != 2:
-        raise FormatError(f"{where} must be an [re, im] pair, got {value!r}")
+        raise FormatError(f"{where} must be an [re, im] pair, got {_shown(value)}")
     return complex(_number(value[0], where), _number(value[1], where))
 
 
@@ -130,7 +141,7 @@ def _field(obj, key: str, where: str):
 def _dimension(obj, what: str) -> int:
     dim = _integer(_field(obj, "N", what), "N")
     if dim < 1:
-        raise FormatError(f"N must be positive, got {dim}")
+        raise FormatError(f"N must be positive, got {_shown(dim)}")
     return dim
 
 
@@ -140,7 +151,7 @@ def _complex_list(values, where: str, shape: tuple, owner: str) -> np.ndarray:
         raise FormatError(f"{where} must be an array of [re, im] pairs")
     # The length is checked before any entry is converted or the array allocated.
     if len(values) != math.prod(shape):
-        raise DimensionError(f"{owner} has {len(values)} entries, expected {math.prod(shape)}")
+        raise DimensionError(f"{owner} has {len(values)} entries, expected {_shown(math.prod(shape))}")
     out = np.empty(shape, dtype=complex)
     # One pass fills it, the only conversion, when every entry is a list of two numbers, the
     # types _pair takes; numeric strings and bools (numpy would take them) are left unconverted.
@@ -205,7 +216,7 @@ def _lattice_from_json(source, what: str, with_kind: bool = False) -> tuple:
     if with_kind:
         kind = _field(obj, "kind", what)
         if kind not in (KIND_STATE_PAIR, KIND_OPERATOR):
-            raise FormatError(f"unknown {what} kind {kind!r}")
+            raise FormatError(f"unknown {what} kind {_shown(kind)}")
         tail = (kind,)
     grid = _complex_list(_field(obj, "grid", what), "grid entry", (2 * dim, 2 * dim), f"{what} grid")
     return (_handed_over(grid), Representation(theta1, theta2, dim), *tail)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .rep import Representation, _checked, _finite_real, _is_integer
+from .rep import Representation, _checked, _finite_real, _is_integer, _past_float_range
 
 __all__ = [
     "TrigPolynomial",
@@ -33,8 +33,9 @@ class TrigPolynomial:
 
     Coefficients are stored in a frequency -> amplitude map; exact zeros are
     dropped so the support is always finite and minimal.  A frequency that is
-    not a tuple of two Python or numpy integers (bools included), or a
-    coefficient that is a str, bytes or bool or is not finite, raises DomainError.
+    not a tuple of two Python or numpy integers (bools included), or a coefficient
+    that is a str, bytes or bool or is not finite, raises DomainError, as does an
+    integer frequency component, coefficient or scalar factor past the float range.
     """
 
     __slots__ = ("_coeffs",)
@@ -44,13 +45,18 @@ class TrigPolynomial:
         for key, value in dict(coeffs).items():
             if not (isinstance(key, tuple) and len(key) == 2) or not all(map(_is_integer, key)):
                 raise DomainError(f"frequency {key!r} must be a pair of integers")
+            n1, n2 = int(key[0]), int(key[1])
+            if _past_float_range(n1) or _past_float_range(n2):
+                raise DomainError("frequency component is an integer past the float range")
             if isinstance(value, (str, bytes, bool, np.bool_)):
                 raise DomainError(f"coefficient {value!r} at frequency {key!r} must be a number")
+            if _past_float_range(value):
+                raise DomainError(f"coefficient at frequency {key!r} is an integer past the float range")
             c = complex(value)
             if not cmath.isfinite(c):
                 raise DomainError(f"coefficient {value!r} at frequency {key!r} must be finite")
             if c != 0:
-                data[(int(key[0]), int(key[1]))] = c
+                data[(n1, n2)] = c
         self._coeffs = data
 
     def coefficients(self) -> dict:
@@ -79,7 +85,8 @@ class TrigPolynomial:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float, complex)):
             return NotImplemented
-        return TrigPolynomial({key: scalar * c for key, c in self._coeffs.items()})
+        factor = _factor(scalar)
+        return TrigPolynomial({key: factor * c for key, c in self._coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -92,6 +99,13 @@ class TrigPolynomial:
 
     def __repr__(self):
         return f"TrigPolynomial({len(self._coeffs)} terms)"
+
+
+def _factor(scalar):
+    """A scalar factor of a symbol; DomainError when it is an integer past the float range."""
+    if _past_float_range(scalar):
+        raise DomainError("scalar factor is an integer past the float range")
+    return scalar
 
 
 def _frozen_grid(grid, rep: Representation, name: str) -> np.ndarray:
@@ -135,22 +149,25 @@ class SampledSymbol:
     def __post_init__(self):
         object.__setattr__(self, "grid", _frozen_grid(self.grid, self.rep, "sampled symbol"))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __add__(self, other):
         if not isinstance(other, SampledSymbol):
             return NotImplemented
         rep = _same_rep(self, other)
         return SampledSymbol(self.grid + other.grid, rep)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __sub__(self, other):
         if not isinstance(other, SampledSymbol):
             return NotImplemented
         rep = _same_rep(self, other)
         return SampledSymbol(self.grid - other.grid, rep)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float, complex)):
             return NotImplemented
-        return SampledSymbol(scalar * self.grid, self.rep)
+        return SampledSymbol(_factor(scalar) * self.grid, self.rep)
 
     __rmul__ = __mul__
 
@@ -171,7 +188,10 @@ def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
     One inverse FFT, O(T + N^2 log N) for T terms: exp(2 i pi n1 x_r) is
     exp(i pi (n1 mod 2N) r/N) exp(2 i pi n1 theta1/N), likewise in p, so each
     term times its theta phase adds into the spectrum at its frequency mod 2N.
-    That phase loses about |n| eps, hence the loader's |n| < 2**53 bound.
+    That phase loses about |n| eps, none at theta = 0.  The slot n mod 2N is exact for any
+    integer, so each term keeps its support and modulus, and sample takes any frequency within
+    the float range.  The loader refuses |n| >= 2**53, past which a JSON reader that holds
+    numbers as doubles, as most do, would read the document with other frequencies.
     The FFT runs rows first, as ifft2 does, but only on the rows that hold a term.
     """
     side = 2 * rep.dim

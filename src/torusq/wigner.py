@@ -77,6 +77,7 @@ def wigner_state(rep: Representation, psi, phi) -> WignerTable:
     return WignerTable(_extended_class(np.conj(psi) * phi[:, None], 0.25 / rep.dim), rep, KIND_STATE_PAIR)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def wigner_operator(rep: Representation, operator) -> WignerTable:
     """Wigner table of an operator.
 

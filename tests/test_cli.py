@@ -476,6 +476,80 @@ def test_malformed_json_is_exit_2(tmp_path, capsys):
     assert run_main(capsys, "wigner", str(src)).returncode == 2
 
 
+def _nested(opener: str, depth: int) -> bytes:
+    """A document of depth nested arrays ("[") or objects ('{"a":')."""
+    closer, core = ("]", "") if opener == "[" else ("}", "0")
+    return (opener * depth + core + closer * depth).encode()
+
+
+GOOD_TRIG = '[{"n1":1,"n2":0,"re":0.5,"im":0.0}]'
+# Files that no subcommand can parse: nesting past any recursion limit, and bytes that are not
+# UTF-8 or not JSON.  Each is refused with exit 2 in one error line that names the file.
+UNPARSABLE = {
+    "arrays-1e5": _nested("[", 10**5),
+    "objects-1e5": _nested('{"a":', 10**5),
+    "ff-fe-tail": GOOD_TRIG.encode() + b"\xff\xfe",
+    "utf8-bom": b"\xef\xbb\xbf" + GOOD_TRIG.encode(),
+    "utf16": GOOD_TRIG.encode("utf-16"),
+    "nul": b"[\x00]",
+    "nul-in-string": b'["\x00"]',
+    "lone-surrogate": b'["\xed\xa0\x80"]',
+}
+
+
+def test_a_refused_value_is_shown_bounded(tmp_path, capsys):
+    src = tmp_path / "zeros.json"
+    src.write_text("[[" + ",".join(["0.0"] * 200000) + "]]")
+    proc = run_main(capsys, "wigner", str(src))
+    shown = "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]"
+    assert (proc.returncode, proc.stderr) == (2, f"error: state entry must be an [re, im] pair, got {shown}\n")
+
+
+def _file_argv(command: str, path) -> list:
+    return [command, str(path)] + ([str(path), "--t", "0"] if command == "evolve" else [])
+
+
+def _assert_refused(proc, path, parsed: bool | None) -> None:
+    """Exit 2 with one error line and nothing else; parsed tells whether the document parsed (its
+    schema is refused) or not (the line names the file), None when either may hold."""
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    if parsed is not None:
+        assert proc.stderr.startswith(f"error: {path}: invalid JSON: ") != parsed, proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(UNPARSABLE))
+@pytest.mark.parametrize("command", ["quantize", "dequantize", "wigner", "evolve"])
+def test_bytes_that_do_not_parse_are_exit_2_naming_the_file(tmp_path, capsys, command, name):
+    src = tmp_path / f"{name}.json"
+    src.write_bytes(UNPARSABLE[name])
+    _assert_refused(run_main(capsys, *_file_argv(command, src)), src, parsed=False)
+
+
+@pytest.mark.parametrize("depth", [900, 1000])
+@pytest.mark.parametrize("command", ["quantize", "dequantize", "wigner", "evolve"])
+def test_nesting_near_the_recursion_limit_is_exit_2(tmp_path, capsys, command, depth):
+    # Whether this depth parses depends on the Python version and on the stack already in
+    # use; either way it ends in one error line, and a parsed document in its schema refusal.
+    for opener in ("[", '{"a":'):
+        src = tmp_path / "deep.json"
+        src.write_bytes(_nested(opener, depth))
+        _assert_refused(run_main(capsys, *_file_argv(command, src)), src, parsed=None)
+
+
+# In a fresh process, nesting 900 deep parses on every supported Python and reaches its schema
+# refusal, while the unparsable files are refused as they are in-process.
+@pytest.mark.parametrize(
+    "command, name",
+    [("quantize", "arrays-1e5"), ("dequantize", "ff-fe-tail"), ("wigner", "utf8-bom"), ("evolve", "nul"),
+     ("quantize", "depth-900"), ("wigner", "depth-900")],
+)
+def test_refusals_of_bytes_and_nesting_in_a_fresh_process(tmp_path, command, name):
+    src = tmp_path / f"{name}.json"
+    src.write_bytes(_nested("[", 900) if name == "depth-900" else UNPARSABLE[name])
+    _assert_refused(run_cli(*_file_argv(command, src)), src, parsed=name == "depth-900")
+
+
 @pytest.mark.parametrize("value", ["string", 3, 1.5, True, None], ids=["string", "int", "float", "bool", "null"])
 def test_a_document_that_is_not_an_array_or_object_is_exit_2(tmp_path, capsys, value):
     sym = serialize.sampled_to_json(dequantize(Representation(0.0, 0.0, 2), SX))
@@ -636,6 +710,17 @@ _DOCUMENTS = {
     "operator": st.fixed_dictionaries(
         {"N": st.one_of(st.integers(-1, 2), st.just(10**12), _SCALARS), "entries": _PAIRS}
     ).map(json.dumps),
+    # Raw bytes: not UTF-8, a BOM or a NUL next to a document, and nesting up to 10^5 deep.
+    "bytes": st.one_of(
+        st.binary(max_size=20),
+        st.builds(
+            lambda doc, extra, before: extra + doc.encode() if before else doc.encode() + extra,
+            _JSON.map(json.dumps),
+            st.sampled_from([b"\xff\xfe", b"\xef\xbb\xbf", b"\x00", b"\x80", b"\xed\xa0\x80"]),
+            st.booleans(),
+        ),
+        st.builds(_nested, st.sampled_from(["[", '{"a":']), st.integers(1, 10**5)),
+    ),
 }
 _FLOAT_FLAGS = st.one_of(
     st.floats().map(repr),
@@ -676,13 +761,17 @@ def _cli_runs(draw):
 @example(run=(["quantize", "{0}"], ['{"theta1": 0, "theta2": %d, "N": 1, "grid": []}' % 10**400]))
 @example(run=(["quantize", "{0}", "--N", "1"], [OVERFLOW_TRIG]))
 @example(run=(["wigner", "{0}", "--theta1", "-inf"], ["[[1, 0]]"]))
+@example(run=(["quantize", "{0}", "--N", "2"], [_nested("[", 1000)]))
+@example(run=(["evolve", "{0}", "{1}", "--t", "0"], [_nested('{"a":', 10**5), "[]"]))
+@example(run=(["dequantize", "{0}"], [GOOD_TRIG.encode() + b"\xff\xfe"]))
+@example(run=(["dequantize", "{0}"], ['{"N": %d, "entries": []}' % 10**3000]))
 def test_fuzzed_inputs_end_in_a_documented_exit(run):
     argv, docs = run
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
-        for i, text in enumerate(docs):
+        for i, doc in enumerate(docs):
             path = Path(tmp) / f"doc{i}.json"
-            path.write_text(text)
+            path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
             paths.append(str(path))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -3,8 +3,6 @@
 A non-finite entry raises DomainError naming the argument, with no numpy warning (the suite
 turns warnings into errors); a wrong or empty shape raises DimensionError.
 """
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,8 @@ from torusq import (
     evolve_operator,
     evolve_symbol,
     fourier_wigner,
+    moyal_bracket,
+    moyal_product,
     operator_from_reduced,
     pairing,
     quantize_fourier,
@@ -116,6 +116,9 @@ def test_a_state_pair_whose_product_overflows_is_a_table_fault():
 BIG_HAMILTONIAN = HamiltonianSystem(SampledSymbol(1e308 * np.cos(np.arange(2 * N))[:, None] * GRID, REP))
 # At N = 2 the flow of sigma_y is the rotation exp(4 i pi t sigma_y).
 MIXING = HamiltonianSystem(dequantize(Representation(0, 0, 2), np.array([[0, -1j], [1j, 0]])))
+# Finite grids whose Moyal products, and whose sums and scalings, overflow.
+HUGE = SampledSymbol(1e200 * GRID, REP)
+MAXED = SampledSymbol(1e308 * GRID, REP)
 
 # kernel -> (a call on finite inputs whose result overflows, the name of what overflowed)
 OVERFLOWS = {
@@ -126,22 +129,25 @@ OVERFLOWS = {
         "quantized operator",
     ),
     "canonical_class": (lambda: canonical_class(REP, np.full((N, N), 1e308)), "canonical class"),
+    "dequantize": (lambda: dequantize(REP, np.full((N, N), 1e308)), "sampled symbol"),
+    "wigner_operator": (lambda: wigner_operator(REP, np.full((N, N), 1e308)), "Wigner table"),
     # This flow turns the all-ones direction onto the first basis vector, doubling the norm there.
     "evolve_operator": (lambda: evolve_operator(MIXING, np.full((2, 2), 1e308), 1 / 16), "evolved operator"),
     "evolve_operator-hamiltonian": (lambda: evolve_operator(BIG_HAMILTONIAN, OP, 0.1), "quantized Hamiltonian"),
     "evolve_symbol-hamiltonian": (lambda: evolve_symbol(BIG_HAMILTONIAN, SYM, 0.1, 10), "Hamiltonian spectrum"),
+    "moyal_product": (lambda: moyal_product(HUGE, HUGE), "sampled symbol"),
+    "moyal_bracket": (lambda: moyal_bracket(HUGE, HUGE), "sampled symbol"),
+    "SampledSymbol-add": (lambda: MAXED + MAXED, "sampled symbol"),
+    "SampledSymbol-sub": (lambda: MAXED - (-1.0) * MAXED, "sampled symbol"),
+    "SampledSymbol-mul": (lambda: MAXED * 10.0, "sampled symbol"),
 }
-
-
-# The kernels whose overflow still ends in numpy's warning first, silenced here as the CLI does.
-WARNS_FIRST = {"quantize_fourier", "evolve_operator", "evolve_operator-hamiltonian", "evolve_symbol-hamiltonian"}
 
 
 @pytest.mark.parametrize("kernel", sorted(OVERFLOWS))
 def test_a_result_that_overflows_is_refused_by_what_overflowed(kernel):
+    # No kernel lets numpy warn first: the suite turns that warning into an error.
     call, name = OVERFLOWS[kernel]
-    quiet = np.errstate(all="ignore") if kernel in WARNS_FIRST else contextlib.nullcontext()
-    with quiet, pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
+    with pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
         call()
 
 

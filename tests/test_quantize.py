@@ -12,8 +12,10 @@ from torusq import (
     big_pauli,
     canonical_class,
     delta,
+    dequantize,
     heisenberg,
     kernel_element,
+    moyal_product,
     operator_from_reduced,
     quantize_fourier,
     quantize_sampled,
@@ -224,3 +226,23 @@ def test_group_elements_take_frequencies_past_int64(n1, n2):
         # One entry per column, in row (j - n2) mod N; its phase is |n| eps noise.
         assert np.count_nonzero(matrix) == dim
         assert np.max(np.abs(np.abs(matrix[rows, j]) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [-900, -400, -60, 60, 400])
+@pytest.mark.parametrize("dim", [3, 8, 64])
+def test_kernels_commute_with_power_of_two_scaling_bit_for_bit(dim, k):
+    # Scaling by 2**k is exact in floating point, far from overflow and underflow, so a kernel
+    # with no absolute threshold gives the scaled result bit for bit.
+    rng = np.random.default_rng(dim)
+    rep = Representation(0.3, 0.7, dim)
+
+    def draw(n):
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    a, b, op = draw(2 * dim), draw(2 * dim), draw(dim)
+    s = 2.0**k
+    a_sym, b_sym, scaled = SampledSymbol(a, rep), SampledSymbol(b, rep), SampledSymbol(s * a, rep)
+    assert np.array_equal(quantize_sampled(scaled), s * quantize_sampled(a_sym))
+    assert np.array_equal(dequantize(rep, s * op).grid, s * dequantize(rep, op).grid)
+    assert np.array_equal(moyal_product(scaled, b_sym).grid, s * moyal_product(a_sym, b_sym).grid)
+    assert np.array_equal(moyal_product(b_sym, scaled).grid, s * moyal_product(b_sym, a_sym).grid)

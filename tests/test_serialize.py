@@ -92,6 +92,30 @@ def test_loads_rejects_non_finite_and_garbage():
         loads("{not json")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"[1]\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+        (b"\xef\xbb\xbf[1]", "Unexpected UTF-8 BOM"),
+        ("[1]".encode("utf-16"), "'utf-8' codec can't decode byte 0xff"),
+        (b'["\xed\xa0\x80"]', "'utf-8' codec can't decode byte 0xed"),
+        (b"[" * 10**5 + b"]" * 10**5, "maximum recursion depth exceeded"),
+        ("[" * 10**5 + "]" * 10**5, "maximum recursion depth exceeded"),
+        ("1" * 5000, "Exceeds the limit"),
+    ],
+    ids=["ff-fe-tail", "utf8-bom", "utf16", "surrogate", "deep-bytes", "deep-text", "long-integer"],
+)
+def test_loads_maps_every_parse_failure_to_format_error(data, message):
+    with pytest.raises(FormatError, match=f"^invalid JSON: .*{message}"):
+        loads(data)
+
+
+def test_loads_reads_bytes_as_utf8_like_text():
+    text = '{"n": "\u00e9t\u00e9", "x": [1.5, -0, 2e-308]}'
+    assert loads(text.encode()) == loads(text)
+    assert loads('["été"]'.encode()) == ["été"]
+
+
 def test_trig_round_trip():
     tp = TrigPolynomial({(1, 0): 0.5 - 0.25j, (-2, 3): 1.75, (0, 0): -1.0})
     back = trig_from_json(trig_to_json(tp))
@@ -211,6 +235,43 @@ def test_grid_parse_matches_the_per_entry_conversion():
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+FMAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[1.7976931348623157e308, -1.7976931348623157e308], [0.5, -1]]", "[[-1.5, 2], [%d, -%d]]" % (FMAX, FMAX)],
+    ids=["floats", "integers"],
+)
+def test_grid_parse_at_the_float_maximum_keeps_the_one_pass_values(text):
+    # An entry at the float maximum leaves the one-pass fill to the walk that names a bad entry;
+    # finding none, it keeps the filled array.
+    values = loads(text)
+    expected = np.array([complex(float(re), float(im)) for re, im in values])
+    for source in (text, text.encode(), values):
+        assert np.array_equal(state_from_json(source), expected)
+        grid = sampled_from_json({"theta1": 0, "theta2": 0, "N": 1, "grid": values * 2}).grid
+        assert np.array_equal(grid.ravel(), np.tile(expected, 2))
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_grid_parse_refuses_an_integer_just_past_the_float_maximum(sign):
+    past = int(FMAX) + 1
+    for text in (f"[[0.5, 1], [{sign}{past}, 0]]", f"[[{sign}{int(FMAX)}, {sign}{past}]]"):
+        with pytest.raises(FormatError, match=f"^state entry must be finite, got {sign}1797693134862315"):
+            state_from_json(text)
+
+
+def test_grid_parse_takes_the_number_types_the_walk_takes():
+    # Subclasses of list and float, such as numpy's float64, pass the entry check, so the fill
+    # must convert them too.
+    class Pair(list):
+        pass
+
+    values = [Pair([np.float64(1.5), 2]), [np.float64(-FMAX), 0.25]]
+    assert np.array_equal(state_from_json(values), np.array([1.5 + 2j, complex(-FMAX, 0.25)]))
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -236,6 +297,26 @@ def test_grid_parse_names_the_first_bad_entry(bad, message):
         state_from_json(good + [bad, "later"])
     with pytest.raises(FormatError, match="state entry must be a number, got '1'"):
         state_from_json(good + [["1", True], bad])
+
+
+@pytest.mark.parametrize(
+    "load, doc, start",
+    [
+        (state_from_json, [[0.0] * 200000], r"state entry must be an [re, im] pair, got [0.0, 0.0, "),
+        (state_from_json, [["x" * 10**6, 0]], "state entry must be a number, got 'xxx"),
+        (state_from_json, [[0, -(10**4000)]], "state entry must be finite, got -1000"),
+        (trig_from_json, [{"n1": [[[[[[[[[1]]]]]]]]], "n2": 0, "re": 0, "im": 0}], "n1 must be an integer, got [[["),
+        (operator_from_json, {"N": -(10**4000), "entries": []}, "N must be positive, got -1000"),
+        (operator_from_json, {"N": 10**4000, "entries": []}, "operator has 0 entries, expected an integer of "),
+        (wigner_from_json, {"theta1": 0, "theta2": 0, "N": 1, "kind": "k" * 10**6}, "unknown Wigner table kind 'kkk"),
+    ],
+    ids=["long-pair", "long-string", "long-integer", "deep-list", "negative-N", "huge-count", "long-kind"],
+)
+def test_a_refusal_shows_the_document_value_bounded(load, doc, start):
+    with pytest.raises((FormatError, DimensionError)) as refused:
+        load(doc)
+    message = str(refused.value)
+    assert message.startswith(start) and len(message) < 100, message
 
 
 def test_grid_parse_refuses_text_that_numpy_would_convert():

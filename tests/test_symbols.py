@@ -66,6 +66,38 @@ def test_trig_refuses_arithmetic_that_overflows():
         TrigPolynomial({(1, 0): 1e308}) * 10.0
 
 
+ONE_TERM = TrigPolynomial({(0, 0): 1.0})
+ONES = SampledSymbol(np.ones((2, 2)), Representation(0.0, 0.0, 1))
+PAST_MAX = int(np.finfo(float).max) + 1
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: TrigPolynomial({(0, 0): 10**400}), r"coefficient at frequency \(0, 0\)"),
+        (lambda: TrigPolynomial({(1, 0): -PAST_MAX}), r"coefficient at frequency \(1, 0\)"),
+        (lambda: TrigPolynomial({(2**1100, 1): 1.0}), "frequency component"),
+        (lambda: TrigPolynomial({(1, -PAST_MAX): 1.0}), "frequency component"),
+        (lambda: ONE_TERM * 10**400, "scalar factor"),
+        (lambda: -PAST_MAX * TrigPolynomial(), "scalar factor"),
+        (lambda: ONES * 10**400, "scalar factor"),
+        (lambda: PAST_MAX * ONES, "scalar factor"),
+    ],
+    ids=["coefficient", "negative-coefficient", "frequency", "negative-frequency", "trig-times", "times-trig",
+         "sampled-times", "times-sampled"],
+)
+def test_integers_past_the_float_range_are_refused_where_they_are_built(build, what):
+    with pytest.raises(DomainError, match=f"^{what} is an integer past the float range$"):
+        build()
+
+
+def test_integers_at_the_float_maximum_are_taken():
+    fmax = PAST_MAX - 1
+    assert TrigPolynomial({(fmax, -fmax): fmax}).coefficients() == {(fmax, -fmax): complex(fmax)}
+    assert (ONE_TERM * -fmax).coefficients() == {(0, 0): complex(-fmax)}
+    assert np.array_equal((fmax * ONES).grid, np.full((2, 2), complex(fmax)))
+
+
 def test_trig_accepts_numpy_integer_frequencies():
     tp = TrigPolynomial({(np.int64(2), np.int32(-1)): 1.0, (np.uint8(3), 2**70): 2.0})
     assert tp.coefficients() == {(2, -1): 1.0 + 0j, (3, 2**70): 2.0 + 0j}
