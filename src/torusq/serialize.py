@@ -88,10 +88,11 @@ def _reject_constant(name):
 
 
 def loads(data: str | bytes):
-    """Parse JSON text, or bytes as strict UTF-8, rejecting NaN and Infinity.  Every failure raises
-    FormatError, bytes that are not UTF-8 and nesting past Python's recursion limit included."""
+    """Parse JSON text, or bytes as strict UTF-8, rejecting NaN and Infinity; any failure is a FormatError."""
     try:
-        return json.loads(data.decode() if isinstance(data, bytes) else data, parse_constant=_reject_constant)
+        # Rebinding data frees bytes whose only reference the caller handed over (Python >= 3.11).
+        data = data.decode() if isinstance(data, bytes) else data
+        return json.loads(data, parse_constant=_reject_constant)
     except FormatError:
         raise
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
@@ -166,8 +167,7 @@ def _complex_list(values, where: str, shape: tuple, owner: str) -> np.ndarray:
             else:
                 if -sys.float_info.max < parts.min() and parts.max() < sys.float_info.max:
                     return out
-    # The walk names the first bad entry.  When none is bad, the fill read a value at the float
-    # maximum (an integer just past it rounds down to it), and out already holds every entry.
+    # The walk names the first bad entry; finding none (a value at the float maximum), out holds all.
     for value in values:
         _pair(value, where)
     return out

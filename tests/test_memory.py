@@ -14,6 +14,7 @@ grid it hands over from the flat list of its numbers, 2.0629 to 2.07, and
 sampled_to_json, which formats the grid's own float view, 7.5420 to 7.55.
 """
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from torusq import (
     serialize,
     wigner_state,
 )
+from torusq.cli import _read
 
 N = 64
 GRID_BYTES = (2 * N) ** 2 * np.dtype(complex).itemsize
@@ -86,3 +88,15 @@ def _peak_grids(call) -> float:
 def test_peak_memory_in_grids(name):
     call, bound = CALLS[name]
     assert _peak_grids(call) <= bound
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="Python 3.10 keeps a call's arguments alive until it returns")
+def test_reading_a_document_file_frees_its_bytes_before_the_parse(tmp_path):
+    # cli._read hands the file's bytes over to serialize.loads, which drops them once decoded, so
+    # reading costs the parse of the text plus the text: measured 2.6450 grids over the parse's
+    # 9.0038 here, against 5.2900 over it when the bytes live through the parse.
+    text = serialize.sampled_to_json(SYM)
+    path = tmp_path / "sym.json"
+    path.write_bytes(text.encode())
+    extra = _peak_grids(lambda: _read(str(path))) - _peak_grids(lambda: serialize.loads(text))
+    assert extra <= 1.1 * len(text) / GRID_BYTES
