@@ -154,8 +154,8 @@ def _complex_list(values, where: str, shape: tuple, owner: str) -> np.ndarray:
     if len(values) != math.prod(shape):
         raise DimensionError(f"{owner} has {len(values)} entries, expected {_shown(math.prod(shape))}")
     out = np.empty(shape, dtype=complex)
-    # One pass fills it, the only conversion, when every entry is a list of two numbers, the
-    # types _pair takes; numeric strings and bools (numpy would take them) are left unconverted.
+    # One pass fills it, the only conversion, when every entry is a list of two numbers of the
+    # types _pair takes; numeric strings and bools, which numpy would take, go to the walk below.
     if all(issubclass(t, list) for t in set(map(type, values))) and set(map(len, values)) <= {2}:
         flat = list(itertools.chain.from_iterable(values))
         if all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, flat))):
