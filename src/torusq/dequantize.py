@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _shown
 from .quantize import _extended_class
 from .rep import Representation, _checked, _is_integer
 from .symbols import SampledSymbol, TrigPolynomial
@@ -69,9 +69,9 @@ def _check_indices(rep: Representation, r, s) -> None:
     """DomainError if r or s is a bool or not an integer, DimensionError unless
     both lie in the doubled range 0..2N-1."""
     if not (_is_integer(r) and _is_integer(s)):
-        raise DomainError(f"indices must be integers, got ({r!r}, {s!r})")
+        raise DomainError(f"indices must be integers, got {_shown((r, s))}")
     if not (0 <= r < 2 * rep.dim and 0 <= s < 2 * rep.dim):
-        raise DimensionError(f"indices must lie in 0..{2 * rep.dim - 1}, got ({r}, {s})")
+        raise DimensionError(f"indices must lie in 0..{2 * rep.dim - 1}, got {_shown((r, s))}")
 
 
 def big_pauli(rep: Representation, r: int, s: int) -> np.ndarray:

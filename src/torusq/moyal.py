@@ -65,10 +65,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .quantize import _block_picks, _from_reduced
 from .rep import Representation, _checked, _finite_real, _is_integer
-from .symbols import SampledSymbol, TrigPolynomial, _handed_over, _same_rep, delta, sample
+from .symbols import SampledSymbol, TrigPolynomial, _fold, _handed_over, _same_rep, sample
 
 __all__ = [
     "HamiltonianSystem",
@@ -183,7 +183,8 @@ class HamiltonianSystem:
     @np.errstate(over="ignore", invalid="ignore")
     def operator(self) -> np.ndarray:
         """Quantized Hamiltonian (Hermitian); DomainError when it overflows."""
-        return _checked(_from_reduced(delta(self.hamiltonian)), "quantized Hamiltonian", (self.rep.dim,) * 2)
+        n = self.rep.dim
+        return _checked(_from_reduced(_fold(self.hamiltonian.grid, n)), "quantized Hamiltonian", (n, n))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -200,7 +201,7 @@ def evolve_operator(system: HamiltonianSystem, operator, t: float) -> np.ndarray
     energies, vectors = np.linalg.eigh(system.operator())
     phases = 2 * np.pi * n * t * energies
     if not np.all(np.isfinite(phases)):
-        raise DomainError(f"t = {t!r} overflows the phases 2 pi N t E")
+        raise DomainError(f"t = {_shown(t)} overflows the phases 2 pi N t E")
     propagator = (vectors * np.exp(1j * phases)) @ vectors.conj().T
     return _checked(propagator @ a @ propagator.conj().T, "evolved operator", (n, n))
 
@@ -222,7 +223,7 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     """
     rep = _same_rep(system, start)
     if not _is_integer(steps) or steps < 1:
-        raise DomainError(f"steps must be a positive integer, got {steps!r}")
+        raise DomainError(f"steps must be a positive integer, got {_shown(steps)}")
     _finite_real(t, "t")
     try:
         dt = float(t) / int(steps)
@@ -247,7 +248,7 @@ def evolve_symbol(system: HamiltonianSystem, start: SampledSymbol, t: float, ste
     reach = 2 * math.pi * n * abs(dt) * float(np.max(energies[..., -1] - energies[..., 0]))
     if reach > 2 * math.sqrt(2):
         raise DomainError(
-            f"t={t!r} with steps={steps} is past the RK4 stability limit: "
+            f"t={_shown(t)} with steps={_shown(steps)} is past the RK4 stability limit: "
             f"2 pi N |t/steps| (E_max - E_min) = {reach:.6e} > 2 sqrt(2) = {2 * math.sqrt(2):.6e}"
         )
     adjoint = vectors.conj().swapaxes(-2, -1)

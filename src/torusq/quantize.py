@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .rep import Representation, _checked, _group_sum
-from .symbols import SampledSymbol, TrigPolynomial, _extension, _handed_over, delta
+from .symbols import SampledSymbol, TrigPolynomial, _extension, _fold, _handed_over
 
 __all__ = [
     "quantize_fourier",
@@ -49,7 +49,7 @@ def quantize_sampled(sym: SampledSymbol) -> np.ndarray:
     with both grid indices taken mod 2N.  It depends on the grid only through
     its fold, and is computed as operator_from_reduced(delta(sym)).
     """
-    return _checked(_from_reduced(delta(sym)), "quantized operator", (sym.rep.dim,) * 2)
+    return _checked(_from_reduced(_fold(sym.grid, sym.rep.dim)), "quantized operator", (sym.rep.dim,) * 2)
 
 
 def adjoint_symbol(sym: SampledSymbol) -> SampledSymbol:

@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _shown
 
 __all__ = [
     "Representation",
@@ -44,7 +44,7 @@ def _finite_real(value, name: str) -> float:
             return float(value)
     except OverflowError:  # an integer past the float range
         pass
-    raise DomainError(f"{name} must be a finite real number, got {value!r}")
+    raise DomainError(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class Representation:
 
     def __post_init__(self):
         if not _is_integer(self.dim):
-            raise DimensionError(f"dim must be an integer, got {self.dim!r}")
+            raise DimensionError(f"dim must be an integer, got {_shown(self.dim)}")
         if self.dim < 1:
-            raise DimensionError(f"dim must be at least 1, got {self.dim}")
+            raise DimensionError(f"dim must be at least 1, got {_shown(self.dim)}")
         object.__setattr__(self, "dim", int(self.dim))
         for name in ("theta1", "theta2"):
             value = _finite_real(getattr(self, name), name) % 1.0
@@ -113,7 +113,7 @@ def heisenberg(rep: Representation, n1: int, n2: int) -> np.ndarray:
     that is a bool or not an integer raises DomainError.
     """
     if not (_is_integer(n1) and _is_integer(n2)):
-        raise DomainError(f"group element labels must be integers, got ({n1!r}, {n2!r})")
+        raise DomainError(f"group element labels must be integers, got {_shown((n1, n2))}")
     return _group_sum(rep, (((n1, n2), 1.0),))
 
 

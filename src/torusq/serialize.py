@@ -5,13 +5,18 @@ double exactly but the sign of a zero (-0.0 is written -0, which JSON reads
 as the integer 0, so it comes back as +0.0), and field order is fixed, so
 identical inputs always produce byte-identical output.  A numpy array is
 written from its own float view as the flat list of [re, im] pairs of its
-entries in row-major order; a loader fills a fresh complex array from that
-flat list in one pass, and SampledSymbol and WignerTable adopt a loaded grid
-without a copy.  loads parses text, or bytes as strict UTF-8, and raises
+entries in row-major order, formatted _CHUNK entries at a time.  A 2N x 2N
+grid whose ghost blocks carry its principal block's magnitudes part by part,
+as every dequantized symbol and Wigner table does (S1 to S3 only flip signs),
+is written from the N x N magnitudes: %.17g writes a finite double as its
+sign, then its magnitude, so formatting each magnitude once gives the same
+bytes.  A loader fills a fresh complex array from the flat list in one
+pass, and SampledSymbol and WignerTable adopt a loaded grid without a
+copy.  loads parses text, or bytes as strict UTF-8, and raises
 FormatError for whatever it cannot parse, nesting past Python's recursion
 limit included.  Loaders validate the schema and raise FormatError for
 malformed documents, DimensionError for internally inconsistent sizes, and
-quote a document value cut short by reprlib; trig_from_json raises
+quote a document value cut short by errors._shown; trig_from_json raises
 DomainError for a frequency of magnitude 2**53 or more, and dumps for a
 non-finite number.  operator_to_json, state_to_json and lattice_csv refuse
 an empty or misshapen array and a non-finite entry.
@@ -21,12 +26,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import reprlib
 import sys
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError, FormatError, _shown
 from .rep import Representation, _checked, _past_float_range
 from .symbols import SampledSymbol, TrigPolynomial, _handed_over
 from .wigner import KIND_OPERATOR, KIND_STATE_PAIR, WignerTable
@@ -50,12 +54,55 @@ __all__ = [
 
 _NON_FINITE = "cannot serialize a non-finite number"
 
+# Rows of a table, or entries of an array, formatted through one template at a time.
+_CHUNK = 512
+
+_SIGNS = np.array(["", "-"], dtype=object)  # the text of a clear and of a set sign bit
+
 
 def _format_rows(row: str, table: np.ndarray, sep: str = "") -> str:
-    """Each row of a real table through the %-template row, joined by sep."""
-    if not np.all(np.isfinite(table)):
-        raise DomainError(_NON_FINITE)
-    return sep.join([row] * len(table)) % tuple(table.ravel().tolist())
+    """Each row of a finite real table through the %-template row, joined by sep, _CHUNK rows at a time."""
+    return sep.join(
+        sep.join([row] * len(rows)) % tuple(rows.ravel().tolist())
+        for rows in (table[start : start + _CHUNK] for start in range(0, len(table), _CHUNK))
+    )
+
+
+def _mirrored(pairs: np.ndarray, n: int) -> bool:
+    """Whether each part of the three ghost blocks of a finite 2N x 2N grid, given as its pairs of
+    floats, has the magnitude of the same part of the principal block, as S1 to S3 give them.  For
+    finite magnitudes, which are never -0.0, equal is the same as equal bit for bit."""
+    side = 2 * n
+    parts = pairs.reshape(side, 2 * side)
+    block = np.abs(parts[:n, :side])
+    ghosts = parts[n:, :side], parts[:n, side:], parts[n:, side:]
+    return all(np.array_equal(np.abs(ghost), block) for ghost in ghosts)
+
+
+def _format_mirrored(pairs: np.ndarray, n: int) -> str:
+    """The pair text of a grid for which _mirrored holds, byte for byte what _format_rows writes.
+
+    %.17g writes a finite double as "-" when its sign bit is set, then the text of its magnitude,
+    so only the principal block's magnitudes are formatted.  Each chunk of its rows serves the rows
+    it mirrors in both halves of the grid, each part written with its own sign.
+    """
+    side = 2 * n
+    parts = pairs.reshape(side, 2 * side)
+    rows = max(1, _CHUNK // side)
+    starts = range(0, n, rows)
+    chunks = [""] * (2 * len(starts))
+    for i, start in enumerate(starts):
+        count = min(rows, n - start)
+        # (row, half of the row, part, then its sign and its magnitude's text)
+        pieces = np.empty((count, 2, side, 2), dtype=object)
+        texts = _format_rows("%.17g", np.abs(parts[start : start + count, :side]).reshape(-1, 1), " ")
+        pieces[..., 1] = np.array(texts.split(" "), dtype=object).reshape(count, 1, side)
+        template = ",".join(["[%s%s,%s%s]"] * (count * side))
+        for slot, first in ((i, start), (i + len(starts), start + n)):
+            bits = np.signbit(parts[first : first + count]).view(np.uint8)
+            pieces[..., 0] = _SIGNS[bits].reshape(count, 2, side)
+            chunks[slot] = template % tuple(pieces.ravel().tolist())
+    return ",".join(chunks)
 
 
 def dumps(obj) -> str:
@@ -75,6 +122,11 @@ def dumps(obj) -> str:
         return "%.17g" % obj
     if isinstance(obj, np.ndarray):
         pairs = np.asarray(obj, dtype=complex).reshape(-1, 1).view(float)
+        if not np.all(np.isfinite(pairs)):
+            raise DomainError(_NON_FINITE)
+        n = obj.shape[0] // 2 if obj.ndim == 2 else 0
+        if n and obj.shape == (2 * n, 2 * n) and _mirrored(pairs, n):
+            return "[" + _format_mirrored(pairs, n) + "]"
         return "[" + _format_rows("[%.17g,%.17g]", pairs, ",") + "]"
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(key)) + ":" + dumps(value) for key, value in obj.items()) + "}"
@@ -101,14 +153,6 @@ def loads(data: str | bytes):
 
 def _as_obj(source):
     return loads(source) if isinstance(source, (str, bytes)) else source
-
-
-def _shown(value) -> str:
-    """A value as a message shows it: reprlib's repr, bounded in length and nesting depth, or for
-    an integer too long for str (a count computed from a document's N), its bit length."""
-    if isinstance(value, int) and value.bit_length() > 14000:
-        return f"an integer of {value.bit_length()} bits"
-    return reprlib.repr(value)
 
 
 def _number(value, where: str) -> float:
@@ -192,7 +236,7 @@ def trig_from_json(source) -> TrigPolynomial:
         re, im = (_number(_field(row, key, "trig polynomial row"), key) for key in ("re", "im"))
         # Past 2**53 a frequency is no longer an exact float, so its phases are noise.
         if max(abs(n1), abs(n2)) >= 2**53:
-            raise DomainError(f"frequency ({n1}, {n2}) is not below 2**53 in magnitude")
+            raise DomainError(f"frequency {_shown((n1, n2))} is not below 2**53 in magnitude")
         key = (n1, n2)
         coeffs[key] = coeffs.get(key, 0j) + complex(re, im)
     return TrigPolynomial(coeffs)

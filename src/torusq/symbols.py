@@ -10,11 +10,12 @@ its adjoint symmetric_extension share the signs of the S1 to S3 ghost blocks.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _shown
 from .rep import Representation, _checked, _finite_real, _is_integer, _past_float_range
 
 __all__ = [
@@ -44,17 +45,17 @@ class TrigPolynomial:
         data = {}
         for key, value in dict(coeffs).items():
             if not (isinstance(key, tuple) and len(key) == 2) or not all(map(_is_integer, key)):
-                raise DomainError(f"frequency {key!r} must be a pair of integers")
+                raise DomainError(f"frequency {_shown(key)} must be a pair of integers")
             n1, n2 = int(key[0]), int(key[1])
             if _past_float_range(n1) or _past_float_range(n2):
                 raise DomainError("frequency component is an integer past the float range")
             if isinstance(value, (str, bytes, bool, np.bool_)):
-                raise DomainError(f"coefficient {value!r} at frequency {key!r} must be a number")
+                raise DomainError(f"coefficient {_shown(value)} at frequency {_shown(key)} must be a number")
             if _past_float_range(value):
-                raise DomainError(f"coefficient at frequency {key!r} is an integer past the float range")
+                raise DomainError(f"coefficient at frequency {_shown(key)} is an integer past the float range")
             c = complex(value)
             if not cmath.isfinite(c):
-                raise DomainError(f"coefficient {value!r} at frequency {key!r} must be finite")
+                raise DomainError(f"coefficient {_shown(value)} at frequency {_shown(key)} must be finite")
             if c != 0:
                 data[(n1, n2)] = c
         self._coeffs = data
@@ -173,12 +174,16 @@ class SampledSymbol:
 
 
 def evaluate(tp: TrigPolynomial, x: float, p: float) -> complex:
-    """Value of the Fourier sum at (x mod 1, p mod 1); DomainError unless x and p are finite real numbers."""
+    """Value of the Fourier sum at (x mod 1, p mod 1); DomainError unless x and p are finite real
+    numbers, and naming the frequency of a term whose phase 2 pi (n1 x + n2 p) overflows."""
     x = _finite_real(x, "x") % 1.0
     p = _finite_real(p, "p") % 1.0
     total = 0j
     for (n1, n2), c in tp.items():
-        total += c * cmath.exp(2j * cmath.pi * (n1 * x + n2 * p))
+        phase = 2j * cmath.pi * (n1 * x + n2 * p)
+        if not cmath.isfinite(phase):
+            raise DomainError(f"the phase of frequency {_shown((n1, n2))} overflows at (x, p) = ({x!r}, {p!r})")
+        total += c * cmath.exp(phase)
     return total
 
 
@@ -239,25 +244,36 @@ def _extension(block: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _fold(grid: np.ndarray, n: int) -> np.ndarray:
+    """delta of a 2N x 2N grid, unchecked: the core that the quantizations call."""
+    return grid[:n, :n] + _fold_tail(grid, n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def delta(sym: SampledSymbol) -> np.ndarray:
     """Fold a 2N x 2N grid to the N x N reduced symbol.
 
     delta(A)[j, k] = A[j, k] + (-1)^k A[j+N, k] + (-1)^j A[j, k+N]
                      + (-1)^(j+k+N) A[j+N, k+N].
-    Linear, rank N^2, nullity 3 N^2.
+    Linear, rank N^2, nullity 3 N^2.  A fold that overflows raises DomainError.
     """
     n = sym.rep.dim
-    return sym.grid[:n, :n] + _fold_tail(sym.grid, n)
+    return _checked(_fold(sym.grid, n), "reduced symbol", (n, n))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def equivalent(a: SampledSymbol, b: SampledSymbol) -> bool:
     """Whether a and b quantize to the same operator, i.e. their folds agree
     to within 1e-10 of the largest grid magnitude.
 
-    Raises DimensionError when the two symbols carry different representations.
+    Raises DimensionError when the two symbols carry different representations,
+    and DomainError when a fold or the largest magnitude overflows.
     """
     _same_rep(a, b)
     scale = max(float(np.max(np.abs(a.grid))), float(np.max(np.abs(b.grid))))
+    if not math.isfinite(scale):
+        raise DomainError("sampled symbol magnitudes must be finite")
+    # Two finite folds differ by at most an infinity, which compares as not equivalent.
     return float(np.max(np.abs(delta(a) - delta(b)))) <= 1e-10 * scale
 
 
@@ -270,7 +286,7 @@ def kernel_element(rep: Representation, seed: int) -> SampledSymbol:
     integer or negative raises DomainError.
     """
     if not _is_integer(seed) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+        raise DomainError(f"seed must be a non-negative integer, got {_shown(seed)}")
     n = rep.dim
     side = 2 * n
     grid = np.zeros((side, side), dtype=complex)

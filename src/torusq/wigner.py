@@ -18,11 +18,12 @@ numpy's overflow warnings off, leaves the WignerTable constructor to refuse an o
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .quantize import _extended_class
 from .rep import Representation, _checked, heisenberg
 from .symbols import SampledSymbol, _frozen_grid, _ghost_blocks, symmetric_extension
@@ -56,7 +57,7 @@ class WignerTable:
 
     def __post_init__(self):
         if self.kind not in (KIND_STATE_PAIR, KIND_OPERATOR):
-            raise DomainError(f"unknown Wigner table kind {self.kind!r}")
+            raise DomainError(f"unknown Wigner table kind {_shown(self.kind)}")
         object.__setattr__(self, "grid", _frozen_grid(self.grid, self.rep, "Wigner table"))
 
 
@@ -87,16 +88,19 @@ def wigner_operator(rep: Representation, operator) -> WignerTable:
     return WignerTable(_extended_class(a, 0.25 / rep.dim), rep, KIND_OPERATOR)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def marginal_x(table: WignerTable) -> np.ndarray:
     """Row sums of the table.  For a state pair, slot 2j holds conj(psi_j) phi_j
-    and the odd slots vanish."""
-    return table.grid.sum(axis=1)
+    and the odd slots vanish.  A sum that overflows raises DomainError."""
+    return _checked(table.grid.sum(axis=1), "x marginal", (2 * table.rep.dim,))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def marginal_p(table: WignerTable) -> np.ndarray:
     """Column sums of the table.  For a state pair, slot 2j holds
-    (1/N) conj(psihat_j) phihat_j in the forward DFT normalization, odd slots vanish."""
-    return table.grid.sum(axis=0)
+    (1/N) conj(psihat_j) phihat_j in the forward DFT normalization, odd slots vanish.
+    A sum that overflows raises DomainError."""
+    return _checked(table.grid.sum(axis=0), "p marginal", (2 * table.rep.dim,))
 
 
 def pairing(sym: SampledSymbol, psi, phi) -> complex:
@@ -108,9 +112,14 @@ def pairing(sym: SampledSymbol, psi, phi) -> complex:
     return complex(np.sum(sym.grid * table.grid))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_symmetries(table: WignerTable) -> float:
     """Largest |grid - symmetric_extension(grid[:N, :N])|, the ghost blocks' distance
-    from the S1 to S3 copies of the principal block: 0.0 exactly when they hold."""
+    from the S1 to S3 copies of the principal block: 0.0 exactly when they hold.
+    A distance that overflows raises DomainError."""
     n = table.rep.dim
     block = table.grid[:n, :n]
-    return max(float(np.max(np.abs(ghost - sign * block))) for sign, ghost in _ghost_blocks(table.grid, n))
+    residual = max(float(np.max(np.abs(ghost - sign * block))) for sign, ghost in _ghost_blocks(table.grid, n))
+    if not math.isfinite(residual):
+        raise DomainError("symmetry deviation entries must be finite")
+    return residual

@@ -1,7 +1,8 @@
 """Every public function or constructor that takes an array refuses a bad one where it enters.
 
 A non-finite entry raises DomainError naming the argument, with no numpy warning (the suite
-turns warnings into errors); a wrong or empty shape raises DimensionError.
+turns warnings into errors); a wrong or empty shape raises DimensionError.  A finite input whose
+result overflows, and an integer too long for str, end in the package's own errors too.
 """
 import numpy as np
 import pytest
@@ -15,11 +16,19 @@ from torusq import (
     SampledSymbol,
     TrigPolynomial,
     WignerTable,
+    big_pauli,
     canonical_class,
+    check_symmetries,
+    delta,
     dequantize,
+    equivalent,
     evolve_operator,
     evolve_symbol,
     fourier_wigner,
+    heisenberg,
+    kernel_element,
+    marginal_p,
+    marginal_x,
     moyal_bracket,
     moyal_product,
     operator_from_reduced,
@@ -119,6 +128,8 @@ MIXING = HamiltonianSystem(dequantize(Representation(0, 0, 2), np.array([[0, -1j
 # Finite grids whose Moyal products, and whose sums and scalings, overflow.
 HUGE = SampledSymbol(1e200 * GRID, REP)
 MAXED = SampledSymbol(1e308 * GRID, REP)
+# A finite table whose row and column sums overflow, and whose ghosts are far from the S1 to S3 copies.
+MAXED_TABLE = WignerTable(1e308 * GRID, REP, KIND_OPERATOR)
 
 # kernel -> (a call on finite inputs whose result overflows, the name of what overflowed)
 OVERFLOWS = {
@@ -140,6 +151,12 @@ OVERFLOWS = {
     "SampledSymbol-add": (lambda: MAXED + MAXED, "sampled symbol"),
     "SampledSymbol-sub": (lambda: MAXED - (-1.0) * MAXED, "sampled symbol"),
     "SampledSymbol-mul": (lambda: MAXED * 10.0, "sampled symbol"),
+    # At N = 3 the fold of the all-ones grid is 2 at (0, 0).
+    "delta": (lambda: delta(MAXED), "reduced symbol"),
+    "equivalent": (lambda: equivalent(MAXED, MAXED), "reduced symbol"),
+    "check_symmetries": (lambda: check_symmetries(MAXED_TABLE), "symmetry deviation"),
+    "marginal_x": (lambda: marginal_x(MAXED_TABLE), "x marginal"),
+    "marginal_p": (lambda: marginal_p(MAXED_TABLE), "p marginal"),
 }
 
 
@@ -149,6 +166,43 @@ def test_a_result_that_overflows_is_refused_by_what_overflowed(kernel):
     call, name = OVERFLOWS[kernel]
     with pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
         call()
+
+
+def test_equivalent_refuses_a_grid_magnitude_that_overflows():
+    wide = SampledSymbol(1.5e308 * (1 + 1j) * GRID, REP)
+    with pytest.raises(DomainError, match="^sampled symbol magnitudes must be finite$"):
+        equivalent(wide, wide)
+
+
+def test_folds_that_differ_by_an_overflow_are_not_equivalent():
+    block = np.zeros((2 * N, 2 * N))
+    block[:N, :N] = 1.5e308  # the fold of a grid that is zero off its principal block
+    assert not equivalent(SampledSymbol(block, REP), SampledSymbol(-block, REP))
+
+
+# Integers past the 4300 digits that Python's str takes, where a scalar enters: each refusal is
+# the package's error, and it shows the integer by its bit length.
+TOO_LONG = 10**5000
+HUGE_INTEGERS = {
+    "Representation-theta": (lambda: Representation(TOO_LONG, 0, 2), DomainError),
+    "Representation-dim": (lambda: Representation(0, 0, -TOO_LONG), DimensionError),
+    "evolve_symbol-t": (lambda: evolve_symbol(SYSTEM, SYM, TOO_LONG, 3), DomainError),
+    "evolve_symbol-steps": (lambda: evolve_symbol(SYSTEM, SYM, 0.1, -TOO_LONG), DomainError),
+    "evolve_operator-t": (lambda: evolve_operator(SYSTEM, OP, TOO_LONG), DomainError),
+    "big_pauli": (lambda: big_pauli(REP, TOO_LONG, 0), DimensionError),
+    "TrigPolynomial": (lambda: TrigPolynomial({(TOO_LONG, 1.5): 1.0}), DomainError),
+    "heisenberg": (lambda: heisenberg(REP, TOO_LONG, 0.5), DomainError),
+    "kernel_element": (lambda: kernel_element(REP, -TOO_LONG), DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INTEGERS))
+def test_an_integer_too_long_for_str_is_refused_by_the_package(case):
+    call, error = HUGE_INTEGERS[case]
+    with pytest.raises(error) as refused:
+        call()
+    message = str(refused.value)
+    assert f"an integer of {TOO_LONG.bit_length()} bits" in message and len(message) < 200, message
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 257])

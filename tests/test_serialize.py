@@ -13,7 +13,13 @@ from torusq import (
     SampledSymbol,
     TrigPolynomial,
     WignerTable,
+    dequantize,
+    pauli,
+    symmetric_extension,
+    wigner_operator,
+    wigner_state,
 )
+from torusq import serialize
 from torusq.serialize import (
     dumps,
     lattice_csv,
@@ -502,3 +508,121 @@ def test_dumps_refuses_non_finite_array_entries(bad):
     grid[1, 0] = bad
     with pytest.raises(DomainError, match="cannot serialize a non-finite number"):
         dumps(grid)
+
+
+# A grid whose three ghost blocks carry its principal block's magnitudes, as S1 to S3 give them,
+# is written from that block; every pin below is the per-entry %.17g text of its grid.
+MIRRORED_PINS = {
+    "N=1": (
+        [[complex(-0.0, 5e-324)]],
+        "[[-0,4.9406564584124654e-324],[-0,4.9406564584124654e-324],"
+        "[-0,4.9406564584124654e-324],[0,-4.9406564584124654e-324]]",
+    ),
+    "N=2": (
+        [[complex(1e308, 1 / 3), complex(-0.0, 0.0)], [complex(5e-324, -1 / 3), complex(-1e308, -0.0)]],
+        "[[1e+308,0.33333333333333331],[-0,0],[1e+308,0.33333333333333331],[-0,0],"
+        "[4.9406564584124654e-324,-0.33333333333333331],[-1e+308,-0],"
+        "[-4.9406564584124654e-324,0.33333333333333331],[1e+308,0],"
+        "[1e+308,0.33333333333333331],[0,-0],[1e+308,0.33333333333333331],[0,-0],"
+        "[4.9406564584124654e-324,-0.33333333333333331],[1e+308,0],"
+        "[-4.9406564584124654e-324,0.33333333333333331],[-1e+308,-0]]",
+    ),
+}
+
+# wigner_operator of the identity and of sigma_x, sigma_y, sigma_z at N = 2, theta = 0.
+PAULI_TABLE_PINS = (
+    "[[0.5,0],[0,0],[0.5,0],[0,0],[0,0],[0,0],[-0,0],[-0,0],"
+    "[0.5,0],[-0,0],[0.5,0],[-0,0],[0,0],[-0,0],[-0,0],[0,0]]",
+    "[[0,0],[0,0],[0,0],[0,0],[0.5,0],[0,0],[-0.5,0],[-0,0],"
+    "[0,0],[-0,0],[0,0],[-0,0],[0.5,0],[-0,0],[-0.5,0],[0,0]]",
+    "[[0,0],[0,0],[0,0],[0,0],[0,0],[0.5,-3.061616997868383e-17],[-0,0],[-0.5,3.061616997868383e-17],"
+    "[0,0],[-0,0],[0,0],[-0,0],[0,0],[-0.5,3.061616997868383e-17],[-0,0],[0.5,-3.061616997868383e-17]]",
+    "[[0,0],[0.5,0],[0,0],[0.5,0],[0,0],[0,0],[-0,0],[-0,0],"
+    "[0,0],[-0.5,0],[0,0],[-0.5,0],[0,0],[-0,0],[-0,0],[0,0]]",
+)
+
+
+def per_entry_text(array) -> str:
+    """The plain writer: every part of every entry through its own %.17g."""
+    pairs = np.asarray(array, dtype=complex).reshape(-1, 1).view(float)
+    return "[" + ",".join(["[%.17g,%.17g]"] * len(pairs)) % tuple(pairs.ravel().tolist()) + "]"
+
+
+def mirrored(grid) -> bool:
+    return serialize._mirrored(np.asarray(grid).reshape(-1, 1).view(float), len(grid) // 2)
+
+
+@pytest.mark.parametrize("case", sorted(MIRRORED_PINS))
+def test_mirrored_grid_bytes_are_pinned(case):
+    block, text = MIRRORED_PINS[case]
+    grid = symmetric_extension(np.array(block))
+    assert mirrored(grid)
+    assert dumps(grid) == text == per_entry_text(grid)
+    rep = Representation(0.1, 0.7, len(block))
+    assert sampled_to_json(SampledSymbol(grid, rep)) == (
+        '{"theta1":0.10000000000000001,"theta2":0.69999999999999996,"N":%d,"grid":%s}' % (len(block), text)
+    )
+
+
+def test_pauli_wigner_table_bytes_are_pinned():
+    rep = Representation(0.0, 0.0, 2)
+    for matrix, text in zip(pauli(rep), PAULI_TABLE_PINS):
+        table = wigner_operator(rep, matrix)
+        assert mirrored(table.grid)
+        assert dumps(table.grid) == text
+        assert wigner_to_json(table) == '{"theta1":0,"theta2":0,"N":2,"kind":"operator","grid":%s}' % text
+
+
+def _signed_zeros(grid) -> set:
+    parts = np.asarray(grid).view(float)
+    return set(np.signbit(parts[parts == 0]).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_dequantized_and_wigner_grids_match_the_per_entry_format(n):
+    rng = np.random.default_rng(n)
+    rep = Representation(*rng.uniform(size=2), n)
+    op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    psi, phi = op[0].copy(), op[-1].copy()
+    basis = np.eye(n, dtype=complex)
+    block = op.copy()
+    block.real[rng.random((n, n)) < 0.3] = 0.0
+    block.imag[rng.random((n, n)) < 0.3] = -0.0
+    grids = [
+        dequantize(rep, op).grid,
+        dequantize(rep, np.diag(rng.standard_normal(n))).grid,  # exact zeros of both signs
+        wigner_state(rep, psi, phi).grid,
+        wigner_state(rep, basis[0], -1j * basis[-1]).grid,
+        wigner_operator(rep, op).grid,
+        symmetric_extension(block),
+    ]
+    assert set().union(*map(_signed_zeros, grids)) == {False, True}
+    for grid in grids:
+        assert mirrored(grid)
+        assert dumps(grid) == per_entry_text(grid)
+
+
+def test_a_ghost_magnitude_one_ulp_off_takes_the_per_entry_path():
+    grid = dequantize(Representation(0.3, 0.7, 3), np.arange(9.0).reshape(3, 3) + 1j).grid.copy()
+    assert mirrored(grid)
+    grid[4, 5] = complex(grid[4, 5].real, np.nextafter(grid[4, 5].imag, np.inf))
+    assert not mirrored(grid)
+    assert dumps(grid) == per_entry_text(grid)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_a_non_finite_ghost_entry_is_refused_as_any_other(bad):
+    grid = symmetric_extension(np.array([[1.0, -2.0], [0.5j, 3.0]]))
+    grid[3, 1] = bad  # in the S1 ghost block
+    with pytest.raises(DomainError, match="^cannot serialize a non-finite number$"):
+        dumps(grid)
+
+
+EDGE_DOUBLES = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1 / 3, 0.1, 1.0, 2.0,
+                7.0, 1e16, 9007199254740993.0, 1e22, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("x", EDGE_DOUBLES + [-x for x in EDGE_DOUBLES])
+def test_a_double_is_written_as_its_sign_then_its_magnitude(x):
+    # The law the mirrored path rests on, -0.0 included.
+    assert "%.17g" % x == ("-" if np.signbit(x) else "") + "%.17g" % abs(x)

@@ -316,6 +316,15 @@ def test_evaluate_refuses_a_point_that_is_not_a_finite_real_number(bad):
         evaluate(tp, 0.25, bad)
 
 
+@pytest.mark.parametrize("key", [(10**308, 0), (0, -(10**308)), (10**308, 10**308)])
+def test_evaluate_names_the_frequency_whose_phase_overflows(key):
+    # 2 pi n1 x passes the float range at x = 0.5 and n1 = 10**308; cmath.exp of it is a bare ValueError.
+    # The suite turns warnings into errors, so no warning comes first either.
+    tp = TrigPolynomial({(1, 0): 1.0, key: 1.0})
+    with pytest.raises(DomainError, match=r"^the phase of frequency \((-?1000|0).*\) overflows at \(x, p\) = \(0.5, 0.5\)$"):
+        evaluate(tp, 0.5, 0.5)
+
+
 def test_kernel_element_nontrivial():
     rep = Representation(0.2, 0.5, 3)
     assert np.max(np.abs(kernel_element(rep, 7).grid)) > 1e-3
