@@ -7,10 +7,7 @@ and sampled lattice grids; quantization, dequantization, the Moyal
 product and bracket, discrete Wigner tables and Heisenberg dynamics
 all operate on these.
 """
-# The modules are bound first: the star-imports then rebind the name
-# dequantize to the function of that name, which shadows its module.
-from . import dequantize as _dequantize, errors, moyal, quantize, rep, symbols, wigner
-from .dequantize import *
+from . import errors, moyal, quantize, rep, symbols, wigner
 from .errors import *
 from .moyal import *
 from .quantize import *
@@ -22,6 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = ["__version__"] + [
     name
-    for module in (errors, rep, symbols, quantize, wigner, _dequantize, moyal)
+    for module in (errors, rep, symbols, quantize, wigner, moyal)
     for name in module.__all__
 ]

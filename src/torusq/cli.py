@@ -21,10 +21,9 @@ import sys
 import numpy as np
 
 from . import serialize
-from .dequantize import dequantize
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError, FormatError, _shown
 from .moyal import HamiltonianSystem, evolve_operator, evolve_symbol
-from .quantize import quantize_fourier, quantize_sampled
+from .quantize import dequantize, quantize_fourier, quantize_sampled
 from .rep import Representation
 from .symbols import SampledSymbol, TrigPolynomial, sample
 from .wigner import check_symmetries, marginal_p, marginal_x, wigner_state
@@ -44,7 +43,7 @@ def _read(path: str) -> list | dict:
         except FormatError as exc:  # serialize.loads maps every parse failure to FormatError
             raise FormatError(f"{path}: {exc}") from None
     if not isinstance(doc, (list, dict)):
-        raise FormatError(f"{path} must hold a JSON array or object, got {serialize._shown(doc)}")
+        raise FormatError(f"{path} must hold a JSON array or object, got {_shown(doc)}")
     return doc
 
 

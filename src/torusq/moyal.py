@@ -30,8 +30,9 @@ takes.  The four maps together carry the 2N x 2N grids one-to-one onto four
 copies of M_N: the stacked map is sqrt(1/N) times a unitary, so its inverse
 is N times its adjoint.  For each c1 the (h, i, j) above name the entries
 with row + column = c1 mod 2 once each, so together they read the 4N^2
-entries of F2 a in one fixed permutation, quantize._block_picks, built once
-per N; the fold kernels there read its block c = 0.  The forward
+entries of F2 a in one fixed permutation, _block_picks, built once per N;
+the fold kernels of quantize read its block c = 0 through their own closed-form
+index, quantize._fold_reads.  The forward
 map copies its grids once, runs the row DFT in place on that copy, takes
 the permutation and frees the copy, then writes the sum and the difference
 over h into one preallocated stack of blocks.  The adjoint writes the sum
@@ -60,14 +61,15 @@ evolve_symbol refuses a step past that limit, where RK4 grows without bound.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, _shown
-from .quantize import _block_picks, _from_reduced
-from .rep import Representation, _checked, _finite_real, _is_integer
+from .quantize import _from_reduced
+from .rep import Representation, _checked, _finite_real, _is_integer, _past_float_range
 from .symbols import SampledSymbol, TrigPolynomial, _fold, _handed_over, _same_rep, sample
 
 __all__ = [
@@ -79,6 +81,17 @@ __all__ = [
     "evolve_operator",
     "evolve_symbol",
 ]
+
+
+@functools.lru_cache(maxsize=8)
+def _block_picks(n: int) -> np.ndarray:
+    """The read-only permutation of the block maps, built once per N (see the module notes): picks[c1,
+    h, i, j] = rows * 2N + columns, with columns = j - i + hN and rows = columns + 2i + c1 mod 2N."""
+    k = np.arange(2 * n, dtype=np.min_scalar_type(-4 * n * n))  # holds every flat index
+    columns = (k[:n] - k[:n, None] + k[::n, None, None]) % (2 * n)
+    picks = (columns + 2 * k[:n, None] + k[:2, None, None, None]) % (2 * n) * (2 * n) + columns
+    picks.flags.writeable = False
+    return picks
 
 
 def _to_blocks(grids) -> np.ndarray:
@@ -135,28 +148,38 @@ def poisson_bracket(a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
     """Classical bracket da/dx db/dp - da/dp db/dx on trig polynomials.
 
     The coefficient picked up at frequency n + m is
-    -4 pi^2 (n1 m2 - n2 m1) a_n b_m.
+    -4 pi^2 (n1 m2 - n2 m1) a_n b_m.  A wedge n1 m2 - n2 m1 past the float range
+    raises DomainError, as TrigPolynomial does for a coefficient that overflows.
     """
     out = {}
     for (n1, n2), ca in a.items():
         for (m1, m2), cb in b.items():
             wedge = n1 * m2 - n2 * m1
+            if _past_float_range(wedge):
+                raise DomainError(
+                    f"frequencies {_shown((n1, n2))} and {_shown((m1, m2))} have a wedge past the float range"
+                )
             if wedge:
                 key = (n1 + m1, n2 + m2)
                 out[key] = out.get(key, 0j) - 4 * np.pi**2 * wedge * ca * cb
     return TrigPolynomial(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def semiclassical_residual(a: TrigPolynomial, b: TrigPolynomial, rep: Representation) -> float:
     """Max lattice deviation between 2 pi N / i times the Moyal bracket and
     the Poisson bracket.
 
     Decays like 1/N^2; for a = exp(2 i pi x), b = exp(2 i pi p) it equals
-    4 pi^2 |1 - sinc(pi / N)| exactly.
+    4 pi^2 |1 - sinc(pi / N)| exactly.  A grid or deviation that overflows raises DomainError.
     """
-    scaled = -2j * np.pi * rep.dim * moyal_bracket(sample(a, rep), sample(b, rep)).grid
-    classical = sample(poisson_bracket(a, b), rep).grid
-    return float(np.max(np.abs(scaled - classical)))
+    deviation = (-2j * np.pi * rep.dim) * moyal_bracket(sample(a, rep), sample(b, rep)) - sample(
+        poisson_bracket(a, b), rep
+    )
+    residual = float(np.max(np.abs(deviation.grid)))
+    if not math.isfinite(residual):
+        raise DomainError("semiclassical deviation entries must be finite")
+    return residual
 
 
 @dataclass(frozen=True, eq=False)

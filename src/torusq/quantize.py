@@ -1,4 +1,4 @@
-"""Weyl quantization of torus symbols into N x N operators, and its inverse on the fold.
+"""Weyl quantization of torus symbols into N x N operators, and its inverse, dequantization.
 
 Two routes are provided and must agree: the Fourier route sums group
 elements weighted by the Fourier coefficients of a trigonometric
@@ -7,13 +7,19 @@ give the same operator exactly when their folds agree: quantize_sampled(sym)
 is operator_from_reduced(delta(sym)), one N-point FFT per row of the reduced
 symbol and one take, in O(N^2 log N); canonical_class runs the same steps
 backwards, and every Wigner table and dequantize extend its reduced symbol to
-the 2N x 2N lattice.  One permutation, _block_picks, says which spectrum entry
-each operator entry reads: the Moyal block maps read a grid's 2N x 2N row
-spectrum through all of it, the fold kernels the reduced symbol's N x N row
-spectrum through its block c = 0, whose index alone they cache.  Public maps
+the 2N x 2N lattice.  The one index _fold_reads, cached per N, says which entry
+of the reduced symbol's row spectrum each operator entry reads; it is block c = 0
+of the Moyal block maps' permutation (see moyal), in closed form.  Public maps
 check their array with rep._checked and call an unchecked core; bare array results
 are checked too, the fold kernels' with numpy's overflow warnings off, but for
 operator_from_reduced: each entry sums N terms of modulus |red| / 2N, at most max |red| / 2.
+
+Every N x N operator is N times its own Wigner table when read as a sampled
+symbol; quantizing that symbol returns the operator, which makes dequantize a
+right inverse of the sampled quantization.  Its grid extends the canonical
+class over 4, so its fold is that class itself.  For N = 2 the construction
+reproduces the Pauli matrices, and for general N the matrices B[r, s] built
+here form a generalized Pauli basis of the full matrix algebra.
 """
 from __future__ import annotations
 
@@ -21,7 +27,8 @@ import functools
 
 import numpy as np
 
-from .rep import Representation, _checked, _group_sum
+from .errors import DimensionError, DomainError, _shown
+from .rep import Representation, _checked, _group_sum, _is_integer
 from .symbols import SampledSymbol, TrigPolynomial, _extension, _fold, _handed_over
 
 __all__ = [
@@ -30,6 +37,11 @@ __all__ = [
     "adjoint_symbol",
     "operator_from_reduced",
     "canonical_class",
+    "dequantize",
+    "pauli",
+    "pauli_symbols",
+    "big_pauli",
+    "big_pauli_symbol",
 ]
 
 
@@ -66,10 +78,9 @@ def operator_from_reduced(reduced: np.ndarray) -> np.ndarray:
 
     c has the parity of r: an even row reads bin 2p, and an odd row bin 2p + 1, whose
     phase exp(-2 i pi s p / N) exp(-i pi s / N) is bin p of the N-point DFT of the row
-    turned by half a bin.  So one N-point FFT per row reads them all, at (r, c // 2): the
-    entry that block c = 0 of the Moyal permutation reads through the h-partner whose row
-    is below N, halved.  The input is the N x N output of the fold operator; composing
-    with it is quantize_sampled.
+    turned by half a bin.  So one N-point FFT per row reads them all, at (r, c // 2), the
+    flat index r N + c // 2 that _fold_reads caches.  The input is the N x N output of the
+    fold operator; composing with it is quantize_sampled.
     """
     return _from_reduced(_checked(reduced, "reduced symbol", (None, None)))
 
@@ -109,20 +120,93 @@ def _extended_class(a: np.ndarray, scale: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _block_picks(n: int) -> np.ndarray:
-    """The read-only permutation of the Moyal block maps, built once per N (see moyal): picks[c1,
-    h, i, j] = rows * 2N + columns, with columns = j - i + hN and rows = columns + 2i + c1 mod 2N."""
-    k = np.arange(2 * n, dtype=np.min_scalar_type(-4 * n * n))  # holds every flat index
-    columns = (k[:n] - k[:n, None] + k[::n, None, None]) % (2 * n)
-    picks = (columns + 2 * k[:n, None] + k[:2, None, None, None]) % (2 * n) * (2 * n) + columns
-    picks.flags.writeable = False
-    return picks
-
-
-@functools.lru_cache(maxsize=8)
 def _fold_reads(n: int) -> np.ndarray:
-    """Block c = 0 of the permutation through the h-partner whose row is below N, halved: the fold
-    kernels' read-only intp index, built once per N without caching the whole permutation."""
-    reads = (_block_picks.__wrapped__(n)[0].min(axis=0) // 2).astype(np.intp)
+    """The fold kernels' read-only intp index, built once per N: operator entry (i, j) reads the
+    reduced symbol's row spectrum at flat index r N + ((r - 2i) % 2N) // 2, r = (i + j) % N.  It
+    is block c = 0 of moyal._block_picks through the h-partner whose row is below N, halved."""
+    i = np.arange(n, dtype=np.intp)
+    rows = (i[:, None] + i) % n
+    reads = rows * n + (rows - 2 * i[:, None]) % (2 * n) // 2
     reads.flags.writeable = False
     return reads
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def dequantize(rep: Representation, operator) -> SampledSymbol:
+    """Canonical symbol of an operator: N times its Wigner table."""
+    return SampledSymbol(_extended_class(_checked(operator, "operator", (rep.dim,) * 2), 0.25), rep)
+
+
+def pauli(rep: Representation):
+    """The Pauli matrices (identity, sigma_x, sigma_y, sigma_z) for dim 2.
+
+    They are tied to the group elements by the dictionary
+        sigma_z = exp(-i pi theta1) T(1, 0)
+        sigma_x = exp(-i pi theta2) T(0, 1)
+        sigma_y = exp(-i pi (theta1 + theta2 + 1)) T(1, 1)
+    which holds for every theta; acceptance criterion 02 checks it.  The +1
+    in the sigma_y phase is forced: the cocycle gives
+    T(1, 1) = i T(1, 0) T(0, 1), the first two relations then yield
+    i sigma_z sigma_x, and i sigma_z sigma_x = -sigma_y.
+    """
+    if rep.dim != 2:
+        raise DimensionError(f"Pauli matrices require dim 2, got {rep.dim}")
+    identity = np.eye(2, dtype=complex)
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
+    return identity, sigma_x, sigma_y, sigma_z
+
+
+def pauli_symbols(rep: Representation):
+    """Trig polynomial symbols quantizing to (identity, sigma_x, sigma_y, sigma_z)."""
+    if rep.dim != 2:
+        raise DimensionError(f"Pauli symbols require dim 2, got {rep.dim}")
+    alpha_i = TrigPolynomial({(0, 0): 1.0})
+    alpha_x = TrigPolynomial({(0, 1): np.exp(-1j * np.pi * rep.theta2)})
+    alpha_y = TrigPolynomial({(1, 1): np.exp(-1j * np.pi * (rep.theta1 + rep.theta2 + 1.0))})
+    alpha_z = TrigPolynomial({(1, 0): np.exp(-1j * np.pi * rep.theta1)})
+    return alpha_i, alpha_x, alpha_y, alpha_z
+
+
+def _check_indices(rep: Representation, r, s) -> None:
+    """DomainError if r or s is a bool or not an integer, DimensionError unless
+    both lie in the doubled range 0..2N-1."""
+    if not (_is_integer(r) and _is_integer(s)):
+        raise DomainError(f"indices must be integers, got {_shown((r, s))}")
+    if not (0 <= r < 2 * rep.dim and 0 <= s < 2 * rep.dim):
+        raise DimensionError(f"indices must lie in 0..{2 * rep.dim - 1}, got {_shown((r, s))}")
+
+
+def big_pauli(rep: Representation, r: int, s: int) -> np.ndarray:
+    """Generalized Pauli matrix B[r, s] with entry exp(-i pi (r - 2j) s / N) at (j, r - j mod N).
+
+    Indices run over the doubled range 0..2N-1; the N-shifted matrices differ
+    from the principal ones only by signs.  Each phase is computed as
+    +-exp(-i pi (t mod N) / N) with t = (r - 2j) s mod 2N and the minus sign
+    for t >= N, so those sign laws hold bit for bit.
+    """
+    _check_indices(rep, r, s)
+    n = rep.dim
+    j = np.arange(n)
+    t = ((r - 2 * j) * s) % (2 * n)
+    out = np.zeros((n, n), dtype=complex)
+    phase = np.exp(-1j * np.pi * (t % n) / n)
+    out[j, (r - j) % n] = np.where(t < n, phase, -phase)
+    return out
+
+
+def big_pauli_symbol(rep: Representation, r: int, s: int) -> TrigPolynomial:
+    """Trig polynomial quantizing to big_pauli(rep, r, s).
+
+    The coefficient at frequency (k, m), for k, m in 0..2N-1, is
+    (1/2N) exp(-2 i pi k x_r) exp(-2 i pi m p_s) with (x_r, p_s) the lattice
+    point of (r, s); its sampling is the 2N-scaled indicator of that point.
+    """
+    _check_indices(rep, r, s)
+    n = rep.dim
+    x = r / (2 * n) + rep.theta1 / n
+    p = s / (2 * n) + rep.theta2 / n
+    return TrigPolynomial(
+        {(k, m): np.exp(-2j * np.pi * (k * x + m * p)) / (2 * n) for k in range(2 * n) for m in range(2 * n)}
+    )

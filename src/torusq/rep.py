@@ -102,6 +102,7 @@ def _group_sum(rep: Representation, terms) -> np.ndarray:
     return np.bincount(slots.ravel(), entries.view(float).ravel(), 2 * n * n).view(complex).reshape(n, n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def heisenberg(rep: Representation, n1: int, n2: int) -> np.ndarray:
     """Matrix of the group element (n1, n2) in the representation rep.
 
@@ -110,11 +111,14 @@ def heisenberg(rep: Representation, n1: int, n2: int) -> np.ndarray:
     in row (j - n2) mod N, each entry from one complex exponential: unitary to
     machine precision for any integers n1, n2, which enter the phase as floats
     and the row as n2 mod N.  It is the one-term case of _group_sum.  A label
-    that is a bool or not an integer raises DomainError.
+    that is a bool, not an integer or past the float range raises DomainError,
+    as do labels whose phase n1 n2 pi overflows.
     """
     if not (_is_integer(n1) and _is_integer(n2)):
         raise DomainError(f"group element labels must be integers, got {_shown((n1, n2))}")
-    return _group_sum(rep, (((n1, n2), 1.0),))
+    if _past_float_range(n1) or _past_float_range(n2):
+        raise DomainError(f"group element labels must lie in the float range, got {_shown((n1, n2))}")
+    return _checked(_group_sum(rep, (((n1, n2), 1.0),)), "group element", (rep.dim,) * 2)
 
 
 def generator_t1(rep: Representation) -> np.ndarray:
@@ -127,6 +131,7 @@ def generator_t2(rep: Representation) -> np.ndarray:
     return heisenberg(rep, 0, 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_representation_laws(rep: Representation, samples) -> dict:
     """Worst-case deviation of the five defining identities over sample tuples.
 
@@ -139,6 +144,8 @@ def check_representation_laws(rep: Representation, samples) -> dict:
       commutation     t1^n1 t2^n2 = exp(-2 i pi n1 n2 / N) t2^n2 t1^n1
       periodicity_2n  T(n + 2N m) = exp(2 i pi (2 m1 theta1 + 2 m2 theta2)) T(n)
       periodicity_n   t1^(n1 + m1 N) = exp(2 i pi m1 theta1) t1^n1, same for t2
+
+    Labels whose phases overflow raise DomainError, so no deviation is lost.
     """
     n = rep.dim
     worst = dict.fromkeys(("adjoint", "product", "commutation", "periodicity_2n", "periodicity_n"), 0.0)
@@ -148,16 +155,24 @@ def check_representation_laws(rep: Representation, samples) -> dict:
         # exponents never require a matrix inverse.
         p1 = heisenberg(rep, n1, 0)
         p2 = heisenberg(rep, 0, n2)
-        cocycle = np.exp(-1j * np.pi * (n1 * m2 - n2 * m1) / n)
-        phase_2n = np.exp(2j * np.pi * (2 * m1 * rep.theta1 + 2 * m2 * rep.theta2))
+        try:  # a label or label product past the float range raises OverflowError here
+            cocycle = np.exp(-1j * np.pi * (n1 * m2 - n2 * m1) / n)
+            phase_2n = np.exp(2j * np.pi * (2 * m1 * rep.theta1 + 2 * m2 * rep.theta2))
+            clock = np.exp(-2j * np.pi * n1 * n2 / n)
+            phase_1, phase_2 = np.exp(2j * np.pi * m1 * rep.theta1), np.exp(2j * np.pi * m2 * rep.theta2)
+        except OverflowError:
+            raise DomainError("representation law deviation entries must be finite") from None
         laws = (
             ("adjoint", t_n.conj().T, heisenberg(rep, -n1, -n2)),
             ("product", t_n @ heisenberg(rep, m1, m2), cocycle * heisenberg(rep, n1 + m1, n2 + m2)),
-            ("commutation", p1 @ p2, np.exp(-2j * np.pi * n1 * n2 / n) * p2 @ p1),
+            ("commutation", p1 @ p2, clock * p2 @ p1),
             ("periodicity_2n", heisenberg(rep, n1 + 2 * n * m1, n2 + 2 * n * m2), phase_2n * t_n),
-            ("periodicity_n", heisenberg(rep, n1 + m1 * n, 0), np.exp(2j * np.pi * m1 * rep.theta1) * p1),
-            ("periodicity_n", heisenberg(rep, 0, n2 + m2 * n), np.exp(2j * np.pi * m2 * rep.theta2) * p2),
+            ("periodicity_n", heisenberg(rep, n1 + m1 * n, 0), phase_1 * p1),
+            ("periodicity_n", heisenberg(rep, 0, n2 + m2 * n), phase_2 * p2),
         )
         for name, lhs, rhs in laws:
-            worst[name] = max(worst[name], float(np.max(np.abs(lhs - rhs))))
+            deviation = float(np.max(np.abs(lhs - rhs)))
+            if not math.isfinite(deviation):  # max() would drop a nan
+                raise DomainError("representation law deviation entries must be finite")
+            worst[name] = max(worst[name], deviation)
     return worst

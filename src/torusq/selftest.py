@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dequantize import big_pauli, big_pauli_symbol, dequantize, pauli
 from .moyal import (
     HamiltonianSystem,
     evolve_operator,
@@ -25,7 +24,15 @@ from .moyal import (
     moyal_product,
     semiclassical_residual,
 )
-from .quantize import operator_from_reduced, quantize_fourier, quantize_sampled
+from .quantize import (
+    big_pauli,
+    big_pauli_symbol,
+    dequantize,
+    operator_from_reduced,
+    pauli,
+    quantize_fourier,
+    quantize_sampled,
+)
 from .rep import Representation, check_representation_laws, heisenberg
 from .symbols import SampledSymbol, TrigPolynomial, delta, kernel_element, sample
 from .wigner import (

@@ -175,7 +175,8 @@ class SampledSymbol:
 
 def evaluate(tp: TrigPolynomial, x: float, p: float) -> complex:
     """Value of the Fourier sum at (x mod 1, p mod 1); DomainError unless x and p are finite real
-    numbers, and naming the frequency of a term whose phase 2 pi (n1 x + n2 p) overflows."""
+    numbers, naming the frequency of a term whose phase 2 pi (n1 x + n2 p) overflows, and when
+    the sum overflows."""
     x = _finite_real(x, "x") % 1.0
     p = _finite_real(p, "p") % 1.0
     total = 0j
@@ -184,9 +185,12 @@ def evaluate(tp: TrigPolynomial, x: float, p: float) -> complex:
         if not cmath.isfinite(phase):
             raise DomainError(f"the phase of frequency {_shown((n1, n2))} overflows at (x, p) = ({x!r}, {p!r})")
         total += c * cmath.exp(phase)
+    if not cmath.isfinite(total):
+        raise DomainError("symbol value entries must be finite")
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
     """Sample tp on the lattice of rep: grid[r, s] = tp(r/2N + theta1/N, s/2N + theta2/N).
 
@@ -198,6 +202,7 @@ def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
     the float range.  The loader refuses |n| >= 2**53, past which a JSON reader that holds
     numbers as doubles, as most do, would read the document with other frequencies.
     The FFT runs rows first, as ifft2 does, but only on the rows that hold a term.
+    A grid that overflows raises DomainError.
     """
     side = 2 * rep.dim
     rows = {}  # spectrum row n1 mod 2N -> its entries

@@ -61,10 +61,12 @@ class WignerTable:
         object.__setattr__(self, "grid", _frozen_grid(self.grid, self.rep, "Wigner table"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fourier_wigner(rep: Representation, psi, phi, n1: int, n2: int) -> complex:
-    """Matrix coefficient <psi, T(n1, n2) phi>, antilinear in the first slot."""
+    """Matrix coefficient <psi, T(n1, n2) phi>, antilinear in the first slot; DomainError
+    when it overflows."""
     psi, phi = _checked(psi, "psi", (rep.dim,)), _checked(phi, "phi", (rep.dim,))
-    return complex(np.vdot(psi, heisenberg(rep, n1, n2) @ phi))
+    return complex(_checked(np.vdot(psi, heisenberg(rep, n1, n2) @ phi), "matrix coefficient", ()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -103,13 +105,15 @@ def marginal_p(table: WignerTable) -> np.ndarray:
     return _checked(table.grid.sum(axis=0), "p marginal", (2 * table.rep.dim,))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pairing(sym: SampledSymbol, psi, phi) -> complex:
     """Lattice pairing sum_{r,s} sym(r, s) W(psi, phi)(r, s).
 
     Equals the matrix element <psi, Op(sym) phi> of the quantized symbol.
+    A pairing that overflows raises DomainError.
     """
     table = wigner_state(sym.rep, psi, phi)
-    return complex(np.sum(sym.grid * table.grid))
+    return complex(_checked(np.sum(sym.grid * table.grid), "pairing", ()))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -17,8 +17,7 @@ from torusq import (
     quantize_sampled,
     sample,
 )
-from torusq.moyal import _from_blocks, _to_blocks
-from torusq.quantize import _block_picks
+from torusq.moyal import _block_picks, _from_blocks, _to_blocks
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

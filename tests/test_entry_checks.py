@@ -7,6 +7,7 @@ result overflows, and an integer too long for str, end in the package's own erro
 import numpy as np
 import pytest
 
+import torusq
 from torusq import (
     KIND_OPERATOR,
     DimensionError,
@@ -18,10 +19,12 @@ from torusq import (
     WignerTable,
     big_pauli,
     canonical_class,
+    check_representation_laws,
     check_symmetries,
     delta,
     dequantize,
     equivalent,
+    evaluate,
     evolve_operator,
     evolve_symbol,
     fourier_wigner,
@@ -33,9 +36,11 @@ from torusq import (
     moyal_product,
     operator_from_reduced,
     pairing,
+    poisson_bracket,
     quantize_fourier,
     quantize_sampled,
     sample,
+    semiclassical_residual,
     symmetric_extension,
     wigner_operator,
     wigner_state,
@@ -157,7 +162,67 @@ OVERFLOWS = {
     "check_symmetries": (lambda: check_symmetries(MAXED_TABLE), "symmetry deviation"),
     "marginal_x": (lambda: marginal_x(MAXED_TABLE), "x marginal"),
     "marginal_p": (lambda: marginal_p(MAXED_TABLE), "p marginal"),
+    # Three terms in one spectrum column, which its inverse FFT adds past the float range at x = 0.
+    "sample": (
+        lambda: sample(TrigPolynomial({(0, 0): 1e308, (1, 0): 1e308, (2, 0): 1e308}), Representation(0, 0, N)),
+        "sampled symbol",
+    ),
+    "pairing": (lambda: pairing(SampledSymbol(1.7e308 * GRID, Representation(0, 0, N)), VEC, VEC), "pairing"),
+    "fourier_wigner": (lambda: fourier_wigner(REP, 1e200 * VEC, 1e200 * VEC, 1, 0), "matrix coefficient"),
+    # The bracket is finite, and 2 pi N / i times it overflows.
+    "semiclassical_residual": (
+        lambda: semiclassical_residual(
+            TrigPolynomial({(1, 0): 3e153}), TrigPolynomial({(0, 1): 3e153}), Representation(0, 0, 4)
+        ),
+        "sampled symbol",
+    ),
+    # The Poisson bracket's one coefficient, about 1.6e308, is finite, and its sampling overflows.
+    "semiclassical_residual-poisson": (
+        lambda: semiclassical_residual(
+            TrigPolynomial({(1, 0): 2e153}), TrigPolynomial({(0, 1): 2e153}), Representation(0, 0, 4)
+        ),
+        "sampled symbol",
+    ),
+    "evaluate": (lambda: evaluate(TrigPolynomial({(0, 0): 1e308, (1, 0): 1e308}), 0.0, 0.0), "symbol value"),
+    # The phase pi n1 n2 / N overflows.
+    "heisenberg": (lambda: heisenberg(REP, 10**300, 10**300), "group element"),
+    # The cocycle's label product 2**1200 is past the float range.
+    "check_representation_laws": (
+        lambda: check_representation_laws(REP, [(2**600, 1, 1, 2**600)]),
+        "representation law deviation",
+    ),
 }
+
+# Each public callable without an OVERFLOWS case (keyed by its name, then "-" and the case), and
+# why no finite input makes it overflow unrefused.
+NO_OVERFLOW = {
+    "DimensionError": "an exception class",
+    "DomainError": "an exception class",
+    "FormatError": "an exception class",
+    "Representation": "it reduces each theta mod 1 or refuses it, and takes dim only as an integer",
+    "generator_t1": "heisenberg(rep, 1, 0), whose entries are zeros and phases",
+    "generator_t2": "heisenberg(rep, 0, 1), whose entries are zeros and phases",
+    "TrigPolynomial": "it refuses a coefficient that is not finite, so its sums and products too",
+    "poisson_bracket": "TrigPolynomial refuses a coefficient that overflows; FLOAT_RANGE pins its wedge",
+    "kernel_element": "it takes only an integer seed, and its entries are sums of three normal draws",
+    "adjoint_symbol": "the conjugate of a finite grid is finite",
+    "operator_from_reduced": "each entry is at most half its input's largest modulus",
+    "symmetric_extension": "each entry is plus or minus an entry of the finite block",
+    "pauli": "its entries are 0, 1, i and their negatives",
+    "pauli_symbols": "its coefficients are phases",
+    "big_pauli": "it takes only integer indices below 2N, and its entries are zeros and phases",
+    "big_pauli_symbol": "it takes only integer indices below 2N, and its coefficients are phases over 2N",
+    "WignerTable": "it stores a grid, refused unless finite as ENTRIES pins",
+    "wigner_state": "test_a_state_pair_whose_product_overflows_is_a_table_fault pins it",
+    "HamiltonianSystem": "its operator is the evolve_operator-hamiltonian case",
+}
+
+
+def test_every_public_callable_has_an_overflow_case_or_a_reason():
+    cased = {key.split("-")[0] for key in OVERFLOWS}
+    public = {name for name in torusq.__all__ if callable(getattr(torusq, name))}
+    assert not cased & set(NO_OVERFLOW)
+    assert cased | set(NO_OVERFLOW) == public
 
 
 @pytest.mark.parametrize("kernel", sorted(OVERFLOWS))
@@ -166,6 +231,22 @@ def test_a_result_that_overflows_is_refused_by_what_overflowed(kernel):
     call, name = OVERFLOWS[kernel]
     with pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
         call()
+
+
+# Two symbols whose frequencies have the wedge 2**1200.
+WIDE_PAIR = (TrigPolynomial({(2**600, 0): 1.0}), TrigPolynomial({(0, 2**600): 1.0}))
+# Integers within Python's str but past the float range, where a float would take them.
+FLOAT_RANGE = {
+    "heisenberg": lambda: heisenberg(REP, 2**1024, 1),
+    "poisson_bracket": lambda: poisson_bracket(*WIDE_PAIR),
+    "semiclassical_residual": lambda: semiclassical_residual(*WIDE_PAIR, REP),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_RANGE))
+def test_a_label_or_wedge_past_the_float_range_is_refused(case):
+    with pytest.raises(DomainError, match="float range"):
+        FLOAT_RANGE[case]()
 
 
 def test_equivalent_refuses_a_grid_magnitude_that_overflows():

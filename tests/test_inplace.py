@@ -1,7 +1,7 @@
 """The kernels run their FFTs in place on buffers they own.
 
-No input array may change, not even the cached block permutation or the
-read index that the fold kernels cache from its block c = 0, and each
+No input array may change, not even the Moyal maps' cached block permutation
+or the read index that the fold kernels cache, its block c = 0, and each
 returned grid must be a read-only array that owns its data.  The inputs are
 writable complex128 arrays wherever the kernel accepts one, since a kernel
 may then be handed the caller's own array: operator_from_reduced gets the
@@ -26,7 +26,8 @@ from torusq import (
     wigner_operator,
     wigner_state,
 )
-from torusq.quantize import _block_picks, _fold_reads
+from torusq.moyal import _block_picks
+from torusq.quantize import _fold_reads
 
 ENERGY = TrigPolynomial({(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.3, (0, -1): 0.3, (1, 1): 0.2, (-1, -1): 0.2})
 TP = TrigPolynomial({(1, 2): 1.0 + 0.5j, (-3, 1): 0.25, (0, 0): -2.0})

@@ -1,8 +1,10 @@
 import importlib
 
+import pytest
+
 import torusq
 
-LIBRARY_MODULES = ("errors", "rep", "symbols", "quantize", "wigner", "dequantize", "moyal")
+LIBRARY_MODULES = ("errors", "rep", "symbols", "quantize", "wigner", "moyal")
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -23,5 +25,6 @@ def test_every_public_name_resolves():
 
 
 def test_dequantize_is_the_function():
-    assert callable(torusq.dequantize)
-    assert torusq.dequantize is importlib.import_module("torusq.dequantize").dequantize
+    assert torusq.dequantize is torusq.quantize.dequantize
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("torusq.dequantize")

@@ -21,6 +21,8 @@ from torusq import (
     quantize_sampled,
     sample,
 )
+from torusq.moyal import _block_picks
+from torusq.quantize import _fold_reads
 from torusq.selftest import _row_fft_reading
 
 
@@ -184,6 +186,15 @@ def test_canonical_class_of_a_quantized_grid_is_its_fold(dim):
     sym = SampledSymbol(rng.standard_normal((2 * dim, 2 * dim)) + 1j * rng.standard_normal((2 * dim, 2 * dim)), rep)
     red = delta(sym)
     assert np.max(np.abs(canonical_class(rep, quantize_sampled(sym)) - red)) <= 1e-12 * np.max(np.abs(red))
+
+
+@pytest.mark.parametrize("dim", [*range(1, 65), 127, 128, 257, 512])
+def test_fold_reads_is_block_zero_of_the_moyal_permutation(dim):
+    # The fold kernels' closed-form index is block c = 0 of the Moyal permutation through the
+    # h-partner whose row is below N, halved, so the two maps read one record of entries.
+    reads = _fold_reads(dim)
+    assert type(reads) is np.ndarray and reads.dtype == np.intp and not reads.flags.writeable
+    assert np.array_equal(reads, _block_picks(dim)[0].min(axis=0) // 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
