@@ -481,7 +481,7 @@ def test_spin_precession_symbol_route():
 # At N = 7 the four-mode generator is about twice as large as at N = 3, so it
 # takes twice the steps.
 @pytest.mark.parametrize(("dim", "steps"), [(3, 800), (7, 1600)])
-def test_symbol_route_tracks_operator_route(dim, steps):
+def test_symbol_flow_tracks_operator_flow(dim, steps):
     for make_system in (generic_system, dense_system):
         system, rng = make_system(dim, 28)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -570,7 +570,7 @@ def assert_bracket_is_twisted(energy, grid, dim):
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
-def test_twisted_generator_matches_fft_bracket(dim):
+def test_bracket_matches_twisted_convolution(dim):
     # moyal_bracket against the twisted convolution, for 1 to 4N + 1 modes of H.
     rng = np.random.default_rng(300 + dim)
     side = 2 * dim
@@ -581,7 +581,7 @@ def test_twisted_generator_matches_fft_bracket(dim):
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
-def test_twisted_generator_on_aliased_trig_frequencies(dim):
+def test_bracket_matches_twisted_convolution_on_aliased_frequencies(dim):
     # moyal_bracket against the twisted convolution, on trig frequencies
     # (2N+1, 3) and (1, 3 + 2N) that alias to the lattice mode (1, 3) mod 2N
     rng = np.random.default_rng(400 + dim)
@@ -626,22 +626,17 @@ def assert_matches_rk4_loop(system, start, t, steps):
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def random_start(rng, rep):
-    side = 2 * rep.dim
-    return SampledSymbol(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)), rep)
-
-
 @pytest.mark.parametrize("dim", range(1, 9))
-def test_folded_steps_match_step_loop(dim):
+def test_evolve_symbol_matches_rk4_loop(dim):
     # evolve_symbol, which takes the steps as the powers R(z)^steps, against
     # the RK4 loop over moyal_bracket.
     for make_system in (generic_system, dense_system):
         system, rng = make_system(dim, 700 + dim)
-        assert_matches_rk4_loop(system, random_start(rng, system.rep), 0.5, 200)
+        assert_matches_rk4_loop(system, random_symbol(rng, system.rep), 0.5, 200)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_route_boundary_tracks_operator_route(dim):
+def test_symbol_flow_tracks_operator_flow_around_4n_modes(dim):
     # Around 4N modes: 4N + 1 modes with one central mode move like 4N, since
     # central modes commute with everything.  Moving modes come in pairs -m, m.
     rng = np.random.default_rng(500 + dim)
@@ -661,15 +656,10 @@ def test_evolve_symbol_matches_rk4_loop_at_large_dimension():
     dim = 64
     rng = np.random.default_rng(600)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
-    start = random_start(rng, rep)
+    start = random_symbol(rng, rep)
     for modes in (6, dim // 2, dim // 2 + 2):
         energy = 0.1 * sparse_real_hamiltonian(rng, dim, modes, central=False)
         assert_matches_rk4_loop(HamiltonianSystem(SampledSymbol(energy, rep)), start, 0.01, 3)
-
-
-def block(grid, rep, c1, c2):
-    """Q_c of a grid: the quantization of the grid shifted by c = (c1, c2)."""
-    return quantize_sampled(SampledSymbol(np.roll(grid, (-c1, -c2), axis=(0, 1)), rep))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -678,15 +668,15 @@ def test_four_blocks_split_kernel_and_dequantized_grids(dim):
     # blocks 1-3, so the four blocks separate them.
     rng = np.random.default_rng(1000 + dim)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
-    kernel = kernel_element(rep, 1000 + dim).grid
+    kernel = kernel_element(rep, 1000 + dim)
     operator = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    canonical = dequantize(rep, operator).grid
-    assert np.max(np.abs(block(kernel, rep, 0, 0))) <= 1e-12 * np.max(np.abs(kernel))
-    for c1, c2 in ((1, 0), (0, 1), (1, 1)):
-        assert np.max(np.abs(block(canonical, rep, c1, c2))) <= 1e-12 * np.max(np.abs(canonical))
-    assert np.max(np.abs(block(canonical, rep, 0, 0) - operator)) <= 1e-12 * np.max(np.abs(operator))
+    canonical = dequantize(rep, operator)
+    assert np.max(np.abs(shifted_quantization(kernel, (0, 0)))) <= 1e-12 * np.max(np.abs(kernel.grid))
+    for c in ((1, 0), (0, 1), (1, 1)):
+        assert np.max(np.abs(shifted_quantization(canonical, c))) <= 1e-12 * np.max(np.abs(canonical.grid))
+    assert np.max(np.abs(shifted_quantization(canonical, (0, 0)) - operator)) <= 1e-12 * np.max(np.abs(operator))
     # The same split through the cached block transform, both ways.
-    blocks = _to_blocks(canonical)
+    blocks = _to_blocks(canonical.grid)
     assert np.max(np.abs(blocks[0, 0] - operator)) <= 1e-12 * np.max(np.abs(operator))
     for c2, c1 in ((0, 1), (1, 0), (1, 1)):
         assert np.max(np.abs(blocks[c2, c1])) <= 1e-12 * np.max(np.abs(operator))
@@ -699,7 +689,7 @@ def test_four_blocks_split_kernel_and_dequantized_grids(dim):
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_block_transform_matches_shifted_quantizations(dim):
-    # The cached permutation against block(), built from quantize_sampled: the
+    # The cached permutation against shifted_quantization(): the
     # c2 = 1 blocks are D Q_c D* with D = diag(exp(i pi j / N)).
     rng = np.random.default_rng(1100 + dim)
     rep = Representation(rng.uniform(), rng.uniform(), dim)
@@ -710,7 +700,7 @@ def test_block_transform_matches_shifted_quantizations(dim):
     d = np.exp(1j * np.pi * np.arange(dim) / dim)
     for grid, stacked in zip(grids, blocks):
         for c1, c2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            expected = block(grid, rep, c1, c2)
+            expected = shifted_quantization(SampledSymbol(grid, rep), (c1, c2))
             if c2:
                 expected = d[:, None] * expected * d.conj()
             assert np.max(np.abs(stacked[c2, c1] - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -735,7 +725,7 @@ def test_central_hamiltonian_returns_start_exactly(coefficients):
     for dim in (2, 3, 7):
         rep = Representation(0.2, 0.9, dim)
         system = HamiltonianSystem(sample(TrigPolynomial(coefficients(dim)), rep))
-        a = random_start(np.random.default_rng(31 + dim), rep)
+        a = random_symbol(np.random.default_rng(31 + dim), rep)
         assert np.array_equal(evolve_symbol(system, a, 0.7, 40).grid, a.grid)
 
 
@@ -776,12 +766,8 @@ def test_overflow_names_time_and_steps():
 
 def stability_time(system, steps):
     """The t at which 2 pi N |t/steps| max_c (E_max - E_min) reaches 2 sqrt(2)."""
-    rep = system.rep
-    spread = max(
-        np.ptp(np.linalg.eigvalsh(block(system.hamiltonian.grid, rep, c1, c2)))
-        for c1, c2 in ((0, 0), (1, 0), (0, 1), (1, 1))
-    )
-    return 2 * np.sqrt(2) * steps / (2 * np.pi * rep.dim * spread)
+    spread = max(np.ptp(np.linalg.eigvalsh(shifted_quantization(system.hamiltonian, c))) for c in SHIFTS)
+    return 2 * np.sqrt(2) * steps / (2 * np.pi * system.rep.dim * spread)
 
 
 @pytest.mark.parametrize(
@@ -792,7 +778,7 @@ def stability_time(system, steps):
 def test_stability_limit(factor, refused):
     for make_system in (generic_system, dense_system):
         system, rng = make_system(4, 900)
-        start = random_start(rng, system.rep)
+        start = random_symbol(rng, system.rep)
         steps = 3
         t = float(factor * stability_time(system, steps))
         if refused:
@@ -825,7 +811,7 @@ def test_large_constant_leaves_the_flow_unchanged():
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         rep = Representation(rng.uniform(), rng.uniform(), 16)
-        start = random_start(rng, rep)
+        start = random_symbol(rng, rep)
         plain, shifted = (
             evolve_symbol(HamiltonianSystem(sample(TrigPolynomial(h), rep)), start, 1.0, 1000).grid
             for h in (energy, {**energy, (0, 0): 1e6})
