@@ -196,7 +196,8 @@ class HamiltonianSystem:
     def __post_init__(self):
         grid = self.hamiltonian.grid
         scale = max(1.0, float(np.max(np.abs(grid))))
-        if float(np.max(np.abs(grid.imag))) > 1e-12 * scale:
+        # A modulus past the float range needs an imaginary part far above 1e-12 of it.
+        if not math.isfinite(scale) or float(np.max(np.abs(grid.imag))) > 1e-12 * scale:
             raise DomainError("Hamiltonian grid must be real")
 
     @property

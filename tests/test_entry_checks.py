@@ -214,7 +214,7 @@ NO_OVERFLOW = {
     "big_pauli_symbol": "it takes only integer indices below 2N, and its coefficients are phases over 2N",
     "WignerTable": "it stores a grid, refused unless finite as ENTRIES pins",
     "wigner_state": "test_a_state_pair_whose_product_overflows_is_a_table_fault pins it",
-    "HamiltonianSystem": "its operator is the evolve_operator-hamiltonian case",
+    "HamiltonianSystem": "its operator is the evolve_operator-hamiltonian case; an overflowing modulus is not real",
 }
 
 

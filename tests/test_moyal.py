@@ -365,6 +365,13 @@ def test_hamiltonian_system_validation():
         HamiltonianSystem(energy, Representation(0.5, 0.0, 2))
 
 
+def test_hamiltonian_grid_whose_modulus_overflows_is_refused():
+    # Finite parts whose modulus overflows: the imaginary part is as large as the real one.
+    grid = np.array([[1j, 0], [1.5e308 * (1 + 1j), 1.5e308 * (1 + 1j)]])
+    with pytest.raises(DomainError, match="Hamiltonian grid must be real"):
+        HamiltonianSystem(SampledSymbol(grid, Representation(0, 0, 1)))
+
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
