@@ -145,11 +145,16 @@ def check_representation_laws(rep: Representation, samples) -> dict:
       periodicity_2n  T(n + 2N m) = exp(2 i pi (2 m1 theta1 + 2 m2 theta2)) T(n)
       periodicity_n   t1^(n1 + m1 N) = exp(2 i pi m1 theta1) t1^n1, same for t2
 
-    Labels whose phases overflow raise DomainError, so no deviation is lost.
+    Labels whose phases overflow raise DomainError, so no deviation is lost, as
+    does a sample that is not four labels.
     """
     n = rep.dim
     worst = dict.fromkeys(("adjoint", "product", "commutation", "periodicity_2n", "periodicity_n"), 0.0)
-    for n1, n2, m1, m2 in samples:
+    for labels in samples:
+        try:
+            n1, n2, m1, m2 = labels
+        except (TypeError, ValueError):
+            raise DomainError(f"a sample must be a tuple (n1, n2, m1, m2), got {_shown(labels)}") from None
         t_n = heisenberg(rep, n1, n2)
         # Powers of the generators are themselves group elements, so negative
         # exponents never require a matrix inverse.

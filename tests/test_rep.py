@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,9 @@ def test_law_report_small_at_fixed_theta():
     report = check_representation_laws(rep, tuples)
     assert set(report) == {"adjoint", "product", "commutation", "periodicity_2n", "periodicity_n"}
     assert max(report.values()) < 1e-11
+
+
+@pytest.mark.parametrize("labels", [(1, 1, 1), 5], ids=["three-labels", "not-a-tuple"])
+def test_law_report_refuses_a_malformed_sample(labels):
+    with pytest.raises(DomainError, match=re.escape(f"a sample must be a tuple (n1, n2, m1, m2), got {labels}")):
+        check_representation_laws(Representation(0.0, 0.0, 2), [(0, 1, 1, 0), labels])
