@@ -53,8 +53,11 @@ class Representation:
 
     Both theta components are reduced mod 1 on construction, so two labels
     compare equal exactly when their reduced values coincide bit for bit.
-    A dim that is not an integer of at least 1 raises DimensionError, and a
-    theta that is not a finite real number raises DomainError.
+    A dim that is not an integer of at least 1, or so large that numpy cannot
+    size one 2N x 2N complex grid of 64 N^2 bytes (past sys.maxsize, so dim above
+    379,625,062 on a 64-bit host), raises DimensionError; below that bound a host
+    without the memory raises MemoryError when a grid is built.  A theta that is
+    not a finite real number raises DomainError.
     """
 
     theta1: float
@@ -64,9 +67,13 @@ class Representation:
     def __post_init__(self):
         if not _is_integer(self.dim):
             raise DimensionError(f"dim must be an integer, got {_shown(self.dim)}")
-        if self.dim < 1:
+        dim = int(self.dim)
+        if dim < 1:
             raise DimensionError(f"dim must be at least 1, got {_shown(self.dim)}")
-        object.__setattr__(self, "dim", int(self.dim))
+        if 64 * dim * dim > sys.maxsize:  # numpy sizes no array past sys.maxsize bytes
+            largest = math.isqrt(sys.maxsize // 64)
+            raise DimensionError(f"dim must be at most {largest} for numpy to size its grid, got {_shown(self.dim)}")
+        object.__setattr__(self, "dim", dim)
         for name in ("theta1", "theta2"):
             value = _finite_real(getattr(self, name), name) % 1.0
             if value >= 1.0:

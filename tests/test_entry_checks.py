@@ -199,7 +199,7 @@ NO_OVERFLOW = {
     "DimensionError": "an exception class",
     "DomainError": "an exception class",
     "FormatError": "an exception class",
-    "Representation": "it reduces each theta mod 1 or refuses it, and takes dim only as an integer",
+    "Representation": "it reduces each theta mod 1 or refuses it, and takes dim only as an integer it can size",
     "generator_t1": "heisenberg(rep, 1, 0), whose entries are zeros and phases",
     "generator_t2": "heisenberg(rep, 0, 1), whose entries are zeros and phases",
     "TrigPolynomial": "it refuses a coefficient that is not finite, so its sums and products too",

@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +42,16 @@ def test_theta_tiny_negative_folds_to_zero():
 def test_dim_validation():
     for dim in (0, -3, 2.5, "2", True):
         with pytest.raises(DimensionError):
+            Representation(0.0, 0.0, dim)
+
+
+def test_dim_whose_grid_numpy_cannot_size_is_refused():
+    # One 2N x 2N complex grid takes 64 N^2 bytes; numpy sizes no array past sys.maxsize bytes.
+    largest = math.isqrt(sys.maxsize // 64)
+    assert 64 * largest**2 <= sys.maxsize < 64 * (largest + 1) ** 2
+    assert Representation(0.0, 0.0, np.int64(largest)).dim == largest
+    for dim in (largest + 1, np.int64(2**40), 2**70):
+        with pytest.raises(DimensionError, match=f"dim must be at most {largest} for numpy to size its grid"):
             Representation(0.0, 0.0, dim)
 
 
