@@ -87,7 +87,7 @@ __all__ = [
 def _block_picks(n: int) -> np.ndarray:
     """The read-only permutation of the block maps, built once per N (see the module notes): picks[c1,
     h, i, j] = rows * 2N + columns, with columns = j - i + hN and rows = columns + 2i + c1 mod 2N."""
-    k = np.arange(2 * n, dtype=np.min_scalar_type(-4 * n * n))  # holds every flat index
+    k = np.arange(2 * n, dtype=np.intp)
     columns = (k[:n] - k[:n, None] + k[::n, None, None]) % (2 * n)
     picks = (columns + 2 * k[:n, None] + k[:2, None, None, None]) % (2 * n) * (2 * n) + columns
     picks.flags.writeable = False

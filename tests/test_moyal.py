@@ -713,7 +713,7 @@ def test_block_transform_matches_shifted_quantizations(dim):
             assert np.max(np.abs(stacked[c2, c1] - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.max(np.abs(_from_blocks(stacked) - grid)) <= 1e-14 * np.max(np.abs(grid))
     picks = _block_picks(dim)
-    assert type(picks) is np.ndarray and picks.dtype.kind == "i"
+    assert type(picks) is np.ndarray and picks.dtype == np.intp
     assert np.array_equal(np.sort(picks, axis=None), np.arange(side * side))
     assert not picks.flags.writeable
     assert _block_picks(dim) is picks
