@@ -1,10 +1,13 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
 import torusq
 
 LIBRARY_MODULES = ("errors", "rep", "symbols", "quantize", "wigner", "moyal")
+# Test files that check the package across its modules rather than one module each.
+CROSS_CUTTING_TESTS = ("acceptance", "entry_checks", "inplace", "memory", "package", "readme")
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -28,3 +31,9 @@ def test_dequantize_is_the_function():
     assert torusq.dequantize is torusq.quantize.dequantize
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("torusq.dequantize")
+
+
+def test_each_test_file_names_a_source_module_or_is_cross_cutting():
+    tested = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
+    modules = {path.stem for path in Path(torusq.__file__).parent.glob("*.py")}
+    assert sorted(tested - modules) == sorted(CROSS_CUTTING_TESTS)
