@@ -53,11 +53,11 @@ class Representation:
 
     Both theta components are reduced mod 1 on construction, so two labels
     compare equal exactly when their reduced values coincide bit for bit.
-    A dim that is not an integer of at least 1, or so large that numpy cannot
-    size one 2N x 2N complex grid of 64 N^2 bytes (past sys.maxsize, so dim above
-    379,625,062 on a 64-bit host), raises DimensionError; below that bound a host
-    without the memory raises MemoryError when a grid is built.  A theta that is
-    not a finite real number raises DomainError.
+    A dim that is not an integer of at least 1, or whose 2N x 2N complex grid of
+    64 N^2 bytes numpy cannot size (past sys.maxsize: dim above 379,625,062 on a
+    64-bit host), raises DimensionError; below that bound a host without the
+    memory raises MemoryError when a grid is built.  A theta that is not a finite
+    real number raises DomainError.
     """
 
     theta1: float
