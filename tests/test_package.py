@@ -8,6 +8,8 @@ import torusq
 LIBRARY_MODULES = ("errors", "rep", "symbols", "quantize", "wigner", "moyal")
 # Test files that check the package across its modules rather than one module each.
 CROSS_CUTTING_TESTS = ("acceptance", "entry_checks", "inplace", "memory", "package", "readme")
+# Test files named for one public function of a module rather than for the module.
+FUNCTION_TESTS = ("dequantize",)
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -33,7 +35,9 @@ def test_dequantize_is_the_function():
         importlib.import_module("torusq.dequantize")
 
 
-def test_each_test_file_names_a_source_module_or_is_cross_cutting():
+def test_each_test_file_names_a_module_or_function_or_is_cross_cutting():
     tested = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
     modules = {path.stem for path in Path(torusq.__file__).parent.glob("*.py")}
-    assert sorted(tested - modules) == sorted(CROSS_CUTTING_TESTS)
+    assert sorted(tested - modules) == sorted(CROSS_CUTTING_TESTS + FUNCTION_TESTS)
+    for name in FUNCTION_TESTS:
+        assert name in torusq.__all__ and callable(getattr(torusq, name))
