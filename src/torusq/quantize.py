@@ -7,10 +7,11 @@ give the same operator exactly when their folds agree: quantize_sampled(sym)
 is operator_from_reduced(delta(sym)), one N-point FFT per row of the reduced
 symbol and one take, in O(N^2 log N); canonical_class runs the same steps
 backwards, and every Wigner table and dequantize extend its reduced symbol to
-the 2N x 2N lattice.  The one index _fold_reads, cached per N, says which entry
-of the reduced symbol's row spectrum each operator entry reads; it is block c = 0
-of the Moyal block maps' permutation (see moyal), in closed form.  Public maps
-check their array with rep._checked and call an unchecked core; bare array results
+the 2N x 2N lattice.  The one index _fold_reads says which entry of the reduced
+symbol's row spectrum each operator entry reads; it is block c = 0 of the Moyal
+block maps' permutation (see moyal), in closed form.  It and the half-bin turns of
+_half_bin_turns depend on N alone, so each is built once per N, read-only.  Public
+maps check their array with rep._checked and call an unchecked core; bare array results
 are checked too, the fold kernels' with numpy's overflow warnings off, but for
 operator_from_reduced: each entry sums N terms of modulus |red| / 2N, at most max |red| / 2.
 
@@ -89,7 +90,7 @@ def _from_reduced(red: np.ndarray) -> np.ndarray:
     """operator_from_reduced of a checked complex reduced symbol."""
     n = len(red)
     rows = np.multiply(red, 0.5 / n)
-    rows[1::2] *= np.exp(np.arange(n) * (-1j * np.pi / n))
+    rows[1::2] *= _half_bin_turns(n)[0]
     return np.fft.fft(rows, axis=1, out=rows).reshape(-1)[_fold_reads(n)]
 
 
@@ -109,7 +110,7 @@ def _class(a: np.ndarray, factor: float) -> np.ndarray:
     red = np.empty((n, n), dtype=complex)
     red.reshape(-1)[_fold_reads(n)] = a
     np.fft.ifft(red, axis=1, norm="forward", out=red)
-    red[1::2] *= np.exp(np.arange(n) * (1j * np.pi / n))
+    red[1::2] *= _half_bin_turns(n)[1]
     return np.multiply(red, factor, out=red)
 
 
@@ -129,6 +130,15 @@ def _fold_reads(n: int) -> np.ndarray:
     reads = rows * n + (rows - 2 * i[:, None]) % (2 * n) // 2
     reads.flags.writeable = False
     return reads
+
+
+@functools.lru_cache(maxsize=8)
+def _half_bin_turns(n: int) -> tuple:
+    """The read-only half-bin turns exp(-i pi s / N) of _from_reduced and exp(i pi s / N) of
+    _class, s < N, built once per N, each by its own expression."""
+    forward, backward = np.exp(np.arange(n) * (-1j * np.pi / n)), np.exp(np.arange(n) * (1j * np.pi / n))
+    forward.flags.writeable = backward.flags.writeable = False
+    return forward, backward
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -83,16 +83,22 @@ class Representation:
             object.__setattr__(self, name, value)
 
 
-def _checked(value, name: str, shape: tuple) -> np.ndarray:
-    """value as a complex array, not copied when it is one already.  DimensionError unless its
-    shape is shape, each None standing for the first axis's length, at least 1; DomainError
-    naming the argument unless its entries are finite."""
-    a = np.asarray(value, dtype=complex)
+def _checked(value, name: str, shape: tuple, copy: bool | None = None) -> np.ndarray:
+    """value as a complex array, copied when copy is true, else only when it is not one already.
+    DimensionError unless its shape is shape, each None standing for the first axis's length, at
+    least 1; DomainError naming the argument unless its entries are finite in the double range."""
+    a = value
+    if copy or type(a) is not np.ndarray or a.dtype != complex:  # else there is nothing to convert
+        try:
+            with np.errstate(over="ignore"):  # a longdouble past the double range casts to inf
+                a = np.array(value, dtype=complex, copy=copy)
+        except OverflowError:  # a Python integer past the float range
+            raise DomainError(f"{name} entries must be finite") from None
     n = a.shape[0] if a.ndim else 0
     if a.shape != tuple(n if s is None else s for s in shape) or not a.size:
         wanted = str(shape).replace("None", "n") + (" with n >= 1" if None in shape else "")
         raise DimensionError(f"{name} must have shape {wanted}, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.isfinite(np.ascontiguousarray(a).view(float)).all():  # real and imaginary parts
         raise DomainError(f"{name} entries must be finite")
     return a
 
@@ -153,10 +159,14 @@ def check_representation_laws(rep: Representation, samples) -> dict:
       periodicity_n   t1^(n1 + m1 N) = exp(2 i pi m1 theta1) t1^n1, same for t2
 
     Labels whose phases overflow raise DomainError, so no deviation is lost, as
-    does a sample that is not four labels.
+    do samples that are not iterable and a sample that is not four labels.
     """
     n = rep.dim
     worst = dict.fromkeys(("adjoint", "product", "commutation", "periodicity_2n", "periodicity_n"), 0.0)
+    try:
+        samples = iter(samples)
+    except TypeError:
+        raise DomainError(f"samples must be an iterable of tuples (n1, n2, m1, m2), got {_shown(samples)}") from None
     for labels in samples:
         try:
             n1, n2, m1, m2 = labels

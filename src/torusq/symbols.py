@@ -5,11 +5,12 @@ it on the 2N x 2N lattice attached to a representation produces a
 SampledSymbol; the fold operator delta compresses such a grid to the N x N
 reduced symbol that determines the quantized operator.  Two grids quantize
 to the same operator exactly when their reduced symbols agree.  The fold and
-its adjoint symmetric_extension share the signs of the S1 to S3 ghost blocks.
+its adjoint symmetric_extension share the S1 to S3 ghost signs, built once per N.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,8 +113,7 @@ def _factor(scalar):
 def _frozen_grid(grid, rep: Representation, name: str) -> np.ndarray:
     """grid as a read-only complex 2N x 2N array with finite entries, copied unless handed over."""
     owned = type(grid) is np.ndarray and grid.dtype == complex and grid.flags.owndata
-    g = grid if owned and not grid.flags.writeable else np.array(grid, dtype=complex)
-    g = _checked(g, name, (2 * rep.dim,) * 2)
+    g = _checked(grid, name, (2 * rep.dim,) * 2, copy=not owned or grid.flags.writeable)
     g.setflags(write=False)
     return g
 
@@ -201,27 +201,36 @@ def sample(tp: TrigPolynomial, rep: Representation) -> SampledSymbol:
     integer, so each term keeps its support and modulus, and sample takes any frequency within
     the float range.  The loader refuses |n| >= 2**53, past which a JSON reader that holds
     numbers as doubles, as most do, would read the document with other frequencies.
-    The FFT runs rows first, as ifft2 does, but only on the rows that hold a term.
-    A grid that overflows raises DomainError.
+    The FFT runs down the columns that hold a term first, at most T of them, then in place
+    along the contiguous rows.  A grid that overflows raises DomainError.
     """
     side = 2 * rep.dim
-    rows = {}  # spectrum row n1 mod 2N -> its entries
+    columns = {}  # spectrum column n2 mod 2N -> its entries
     for (n1, n2), c in tp.items():
         theta_phase = cmath.exp(2j * cmath.pi * (n1 * rep.theta1 + n2 * rep.theta2) / rep.dim)
-        rows.setdefault(n1 % side, np.zeros(side, dtype=complex))[n2 % side] += c * theta_phase
+        columns.setdefault(n2 % side, np.zeros(side, dtype=complex))[n1 % side] += c * theta_phase
     grid = np.zeros((side, side), dtype=complex)
-    grid[list(rows)] = np.fft.ifft(np.reshape(list(rows.values()), (-1, side)), axis=1, norm="forward")
-    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
+    grid[:, list(columns)] = np.fft.ifft(np.reshape(list(columns.values()), (-1, side)), axis=1, norm="forward").T
+    np.fft.ifft(grid, axis=1, norm="forward", out=grid)
     return SampledSymbol(_handed_over(grid), rep)
+
+
+@functools.lru_cache(maxsize=8)
+def _ghost_signs(n: int) -> tuple:
+    """The read-only signs (-1)^k, (-1)^j and (-1)^(j+k+n) of the S1, S2, S3 ghost blocks,
+    j, k < n, built once per N: a row, a column and an N x N table, each entry exactly +-1."""
+    signs = np.ones(2 * n)
+    signs[1::2] = -1.0  # (-1)^i
+    s3 = signs[n:, None] * signs[:n]
+    signs.flags.writeable = s3.flags.writeable = False
+    return signs[:n], signs[:n, None], s3
 
 
 def _ghost_blocks(grid: np.ndarray, n: int) -> tuple:
     """(sign, view) of the S1, S2, S3 ghost blocks grid[N:, :N], grid[:N, N:], grid[N:, N:],
     with signs (-1)^k, (-1)^j, (-1)^(j+k+n) for j, k < n."""
-    signs = np.ones(2 * n)
-    signs[1::2] = -1.0  # (-1)^i
-    s = signs[:n]
-    return (s, grid[n:, :n]), (s[:, None], grid[:n, n:]), (signs[n:, None] * s, grid[n:, n:])
+    s1, s2, s3 = _ghost_signs(n)
+    return (s1, grid[n:, :n]), (s2, grid[:n, n:]), (s3, grid[n:, n:])
 
 
 def _fold_tail(grid: np.ndarray, n: int) -> np.ndarray:

@@ -147,6 +147,15 @@ def test_dimension_past_the_bound_is_refused(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.count("exceeds the supported maximum 2") == 2
 
 
+def test_quantize_both_routes_needs_an_output_file(tmp_path, capsys):
+    src = tmp_path / "alpha_z.json"
+    src.write_text(serialize.trig_to_json(pauli_symbols(Representation(0.0, 0.0, 2))[3]))
+    proc = run_main(capsys, "quantize", str(src), "--N", "2", "--route", "both")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: route 'both' needs -o to place the two results\n"
+
+
 def test_quantize_route_needs_trig_input(tmp_path, capsys):
     rep = Representation(0.0, 0.0, 2)
     src = tmp_path / "sym.json"
@@ -218,6 +227,19 @@ def test_wigner_state_pair(tmp_path, capsys):
     table = serialize.wigner_from_json(proc.stdout)
     oracle = wigner_state(Representation(0.4, 0.9, 3), psi, phi)
     assert np.array_equal(table.grid, oracle.grid)
+
+
+def test_wigner_csv(tmp_path, capsys):
+    psi = [1.0, 0.5j, -0.25]
+    src = tmp_path / "psi.json"
+    src.write_text(serialize.state_to_json(psi))
+    proc = run_main(capsys, "wigner", str(src), "--csv", "--theta2", "0.3")
+    assert proc.returncode == 0
+    lines = proc.stdout.strip().split("\n")
+    assert lines[0] == "x,p,re,im"
+    assert len(lines) == 1 + 36
+    rep = Representation(0.0, 0.3, 3)
+    assert proc.stdout == serialize.lattice_csv(wigner_state(rep, psi, psi).grid, rep)
 
 
 def test_wigner_length_mismatch(tmp_path, capsys):
@@ -330,6 +352,19 @@ def test_evolve_step_count_validated(tmp_path, capsys):
     start = tmp_path / "start.json"
     start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
     assert run_main(capsys, "evolve", str(ham), str(start), "--t", "1", "--steps", "0").returncode == 2
+
+
+def test_evolve_takes_a_single_step(tmp_path, capsys):
+    rep = Representation(0.0, 0.0, 2)
+    ham = tmp_path / "h.json"
+    ham.write_text('[{"n1":1,"n2":0,"re":0.5,"im":0.0},{"n1":-1,"n2":0,"re":0.5,"im":0.0}]')
+    start = tmp_path / "start.json"
+    start.write_text(serialize.sampled_to_json(dequantize(rep, SX)))
+    proc = run_main(capsys, "evolve", str(ham), str(start), "--t", "0.001", "--steps", "1")
+    assert proc.returncode == 0
+    diagnostics = json.loads(proc.stdout)["diagnostics"]
+    assert diagnostics["steps"] == 1
+    assert diagnostics["defect"] < 1e-9  # one RK4 step errs by about (2 pi N t dE)^5 / 120
 
 
 def test_evolve_step_count_checked_before_reading(tmp_path, capsys):

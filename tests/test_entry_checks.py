@@ -103,6 +103,25 @@ def test_a_non_finite_entry_is_refused_by_name(entry, value):
         call(bad)
 
 
+EXTENDED_LONGDOUBLE = np.finfo(np.longdouble).max > np.finfo(float).max
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_an_entry_past_the_double_range_is_refused_by_name(entry):
+    # A Python integer past the float range fails its conversion, and a longdouble past the
+    # double range casts to inf; each is refused as non-finite, with no numpy warning.
+    call, name, good = ENTRIES[entry]
+    listed = good.tolist()
+    (listed[-1] if good.ndim == 2 else listed)[-1] = 10**400
+    with pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
+        call(listed)
+    if EXTENDED_LONGDOUBLE:  # where longdouble is double, no longdouble lies past the range
+        wide = good.astype(np.clongdouble)
+        wide.flat[-1] = np.longdouble(np.finfo(float).max) * 2
+        with pytest.raises(DomainError, match=f"^{name} entries must be finite$"):
+            call(wide)
+
+
 @pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_a_wrong_or_empty_shape_is_refused(entry, shape):

@@ -334,6 +334,16 @@ def test_poisson_bracket_plane_waves():
     assert len(poisson_bracket(a, a)) == 0
 
 
+def test_poisson_bracket_scales_with_the_wedge():
+    # {exp(2 i pi n.(x, p)), exp(2 i pi m.(x, p))} = -4 pi^2 (n1 m2 - n2 m1) exp(2 i pi (n + m).(x, p)).
+    a = TrigPolynomial({(2, 1): 0.5, (0, 3): -1.5j})
+    b = TrigPolynomial({(-1, 3): 2j})
+    coeffs = poisson_bracket(a, b).coefficients()
+    assert set(coeffs) == {(1, 4), (-1, 6)}
+    assert abs(coeffs[(1, 4)] - (-4 * np.pi**2 * 7 * 0.5 * 2j)) < 1e-12
+    assert abs(coeffs[(-1, 6)] - (-4 * np.pi**2 * 3 * -1.5j * 2j)) < 1e-12
+
+
 def test_semiclassical_residual_closed_form():
     a = TrigPolynomial({(1, 0): 1.0})
     b = TrigPolynomial({(0, 1): 1.0})

@@ -26,7 +26,7 @@ from torusq import (
     sample,
 )
 from torusq.moyal import _block_picks
-from torusq.quantize import _fold_reads
+from torusq.quantize import _class, _fold_reads, _from_reduced, _half_bin_turns
 from torusq.selftest import _row_fft_reading
 
 
@@ -199,6 +199,43 @@ def test_fold_reads_is_block_zero_of_the_moyal_permutation(dim):
     reads = _fold_reads(dim)
     assert type(reads) is np.ndarray and reads.dtype == np.intp and not reads.flags.writeable
     assert np.array_equal(reads, _block_picks(dim)[0].min(axis=0) // 2)
+
+
+def from_reduced_turning_on_each_call(red):
+    """Reference for _from_reduced: the same steps with the half-bin turn built on each call."""
+    n = len(red)
+    rows = np.multiply(red, 0.5 / n)
+    rows[1::2] *= np.exp(np.arange(n) * (-1j * np.pi / n))
+    return np.fft.fft(rows, axis=1, out=rows).reshape(-1)[_fold_reads(n)]
+
+
+def class_turning_on_each_call(a, factor):
+    """Reference for _class: the same steps with the half-bin turn built on each call."""
+    n = len(a)
+    red = np.empty((n, n), dtype=complex)
+    red.reshape(-1)[_fold_reads(n)] = a
+    np.fft.ifft(red, axis=1, norm="forward", out=red)
+    red[1::2] *= np.exp(np.arange(n) * (1j * np.pi / n))
+    return np.multiply(red, factor, out=red)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 128, 257])
+def test_the_fold_kernels_are_bit_identical_to_turns_built_on_each_call(dim):
+    rng = np.random.default_rng(1200 + dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    assert np.array_equal(_from_reduced(a).view(float), from_reduced_turning_on_each_call(a).view(float))
+    for factor in (2.0, 0.5, 0.125 / dim):
+        assert np.array_equal(_class(a, factor).view(float), class_turning_on_each_call(a, factor).view(float))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 7])
+def test_half_bin_turns_are_built_once_per_dim_and_read_only(dim):
+    turns = _half_bin_turns(dim)
+    assert _half_bin_turns(dim) is turns
+    for turn in turns:
+        assert turn.shape == (dim,) and not turn.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            turn[0] = 2.0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])

@@ -14,6 +14,7 @@ from torusq import (
     generator_t2,
     heisenberg,
 )
+from torusq.rep import _checked
 
 
 def test_theta_reduced_mod_one():
@@ -180,3 +181,43 @@ def test_law_report_small_at_fixed_theta():
 def test_law_report_refuses_a_malformed_sample(labels):
     with pytest.raises(DomainError, match=re.escape(f"a sample must be a tuple (n1, n2, m1, m2), got {labels}")):
         check_representation_laws(Representation(0.0, 0.0, 2), [(0, 1, 1, 0), labels])
+
+
+@pytest.mark.parametrize("samples", [5, None], ids=["int", "none"])
+def test_law_report_refuses_samples_that_are_not_iterable(samples):
+    message = f"samples must be an iterable of tuples (n1, n2, m1, m2), got {samples}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        check_representation_laws(Representation(0.0, 0.0, 2), samples)
+
+
+# Views of a 6 x 9 grid that all hold its entry (4, 6), each a different memory layout.
+LAYOUTS = {
+    "c-contiguous": lambda g: g,
+    "transposed": lambda g: g.T,
+    "strided": lambda g: g[::2, ::3],
+    "0-d": lambda g: g[4, 6, ...],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_checked_takes_a_finite_array_in_any_layout_as_itself(layout):
+    view = LAYOUTS[layout](np.arange(54, dtype=complex).reshape(6, 9) * (1 - 2j))
+    assert _checked(view, "grid", view.shape) is view
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_checked_refuses_a_non_finite_part_in_any_layout(layout, part, value):
+    grid = np.ones((6, 9), dtype=complex)
+    getattr(grid, part)[4, 6] = value
+    view = LAYOUTS[layout](grid)
+    with pytest.raises(DomainError, match="^grid entries must be finite$"):
+        _checked(view, "grid", view.shape)
+
+
+def test_checked_reads_only_the_entries_of_a_strided_view():
+    grid = np.ones((6, 9), dtype=complex)
+    grid[1, 1] = complex(math.nan, math.inf)  # outside grid[::2, ::3]
+    view = grid[::2, ::3]
+    assert _checked(view, "grid", view.shape) is view

@@ -400,6 +400,16 @@ def test_lattice_csv_layout():
     assert float(third[3]) == -1.0
 
 
+def test_lattice_csv_coordinates_shift_by_theta_over_n():
+    # At N = 3 the lattice point of (r, s) is (r/6 + theta1/3, s/6 + theta2/3) mod 1.
+    rep = Representation(0.45, 0.9, 3)
+    rows = [line.split(",") for line in lattice_csv(np.zeros((6, 6)), rep).strip().split("\n")[1:]]
+    coordinates = np.array([[float(x), float(p)] for x, p, _, _ in rows])
+    r, s = np.divmod(np.arange(36), 6)
+    assert np.max(np.abs(coordinates[:, 0] - (r / 6 + 0.15) % 1.0)) < 1e-15
+    assert np.max(np.abs(coordinates[:, 1] - (s / 6 + 0.3) % 1.0)) < 1e-15
+
+
 def test_lattice_csv_shape_checked():
     with pytest.raises(DimensionError):
         lattice_csv(np.zeros((3, 3)), Representation(0, 0, 1))

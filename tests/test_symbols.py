@@ -20,6 +20,7 @@ from torusq import (
     sample,
     wigner_state,
 )
+from torusq.symbols import _fold, _ghost_blocks, _ghost_signs
 
 finite_coeff = st.complex_numbers(
     min_magnitude=0, max_magnitude=10, allow_nan=False, allow_infinity=False
@@ -229,6 +230,27 @@ def test_sample_constant():
     assert np.array_equal(grid, np.full((4, 4), 3.5 + 0j))
 
 
+SAMPLE_DIMS = [1, 2, 3, 8, 17, 64]
+
+
+@pytest.mark.parametrize("dim", SAMPLE_DIMS)
+def test_sample_matches_the_literal_sum_to_rounding(dim):
+    # Frequencies within 5 keep evaluate's own phase error at a few eps, so the bound is on
+    # sample's transform: a small multiple of eps T for T terms of modulus below sqrt(2).
+    rng = np.random.default_rng(dim)
+    keys = {(int(a), int(b)) for a, b in rng.integers(-5, 6, size=(12, 2))}
+    tp = TrigPolynomial({key: complex(*rng.uniform(-1, 1, size=2)) for key in keys})
+    rep = Representation(0.21, 0.84, dim)
+    error = np.max(np.abs(sample(tp, rep).grid - lattice_oracle(tp, rep)))
+    assert error <= 16 * np.finfo(float).eps * len(tp)
+
+
+@pytest.mark.parametrize("dim", SAMPLE_DIMS)
+def test_sample_of_a_constant_is_bit_exact(dim):
+    grid = sample(TrigPolynomial({(0, 0): complex(-0.3, 1 / 3)}), Representation(0.7, 0.2, dim)).grid
+    assert np.array_equal(grid, np.full((2 * dim, 2 * dim), complex(-0.3, 1 / 3)))
+
+
 def test_sampled_symbol_validation():
     rep = Representation(0.0, 0.0, 2)
     with pytest.raises(DimensionError, match=r"^sampled symbol must have shape \(4, 4\)"):
@@ -268,6 +290,39 @@ def test_delta_explicit_fold():
                 + (-1.0) ** (j + k + n) * g[j + n, k + n]
             )
             assert abs(out[j, k] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8, 64, 128])
+def test_ghost_signs_are_the_closed_forms(dim):
+    j = np.arange(dim)
+    s1, s2, s3 = _ghost_signs(dim)
+    assert np.array_equal(np.broadcast_to(s1, (dim, dim)), np.broadcast_to((-1.0) ** j, (dim, dim)))
+    assert np.array_equal(np.broadcast_to(s2, (dim, dim)), np.broadcast_to((-1.0) ** j[:, None], (dim, dim)))
+    assert np.array_equal(s3, (-1.0) ** (j[:, None] + j + dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 6])
+def test_ghost_signs_are_built_once_per_dim_and_read_only(dim):
+    signs = _ghost_signs(dim)
+    assert _ghost_signs(dim) is signs
+    grid = np.zeros((2 * dim, 2 * dim))
+    assert all(sign is cached for (sign, _), cached in zip(_ghost_blocks(grid, dim), signs))
+    for sign in signs:
+        assert not sign.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sign[(0,) * sign.ndim] = 2.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 128])
+def test_fold_is_bit_identical_to_signs_built_on_each_call(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((2 * dim, 2 * dim)) + 1j * rng.standard_normal((2 * dim, 2 * dim))
+    signs = np.ones(2 * dim)
+    signs[1::2] = -1.0
+    s = signs[:dim]
+    n = dim
+    expected = g[:n, :n] + (s * g[n:, :n] + s[:, None] * g[:n, n:] + signs[n:, None] * s * g[n:, n:])
+    assert np.array_equal(_fold(g, dim).view(float), expected.view(float))
 
 
 @settings(max_examples=25, deadline=None)
